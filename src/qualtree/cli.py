@@ -131,6 +131,14 @@ def _require_accept(loaded: LoadedAutomaton, path: str, kinds=(BUCHI, COBUCHI)):
     return loaded.acceptance
 
 
+def _require_symbols(symbols, alphabet, path: str) -> None:
+    alien = set(symbols) - set(alphabet)
+    if alien:
+        raise FormatError(
+            f"{path}: symbols not in the automaton's alphabet: {' '.join(sorted(alien))}"
+        )
+
+
 def _as_alternating(loaded: LoadedAutomaton, path: str) -> AlternatingTreeAutomaton:
     aut = loaded.automaton
     if isinstance(aut, AlternatingTreeAutomaton):
@@ -194,6 +202,7 @@ def cmd_word_membership(args) -> int:
     if not isinstance(loaded.automaton, ProbWordAutomaton):
         raise FormatError(f"{args.automaton}: a prob-word automaton is required")
     w = parse_word(_read(args.word))
+    _require_symbols(w.prefix + w.period, loaded.automaton.alphabet, args.word)
     report.add_input(args.word, serialize_word(w))
     verdict = lasso_membership_word(loaded.automaton, accept.target, w, accept.kind)
     report.add("verdict", "member" if verdict else "nonmember")
@@ -209,6 +218,7 @@ def cmd_ptree_membership(args) -> int:
     if not isinstance(loaded.automaton, ProbTreeAutomaton):
         raise FormatError(f"{args.automaton}: a prob-tree automaton is required")
     t = _load_tree(args.tree, report)
+    _require_symbols(t.label.values(), loaded.automaton.alphabet, args.tree)
     verdict = prob_tree_membership(loaded.automaton, accept.target, t, accept.kind)
     report.add("verdict", "member" if verdict else "nonmember")
     report.add("oracle-agreement", "n/a")

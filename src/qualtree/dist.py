@@ -38,6 +38,15 @@ class Distribution:
         self._w = acc
 
     @classmethod
+    def _trusted(cls, weights: dict) -> "Distribution":
+        """Wrap merged, positive ``Fraction`` weights without checking them
+        again.  Internal builders use it for rows whose weights come from
+        distributions that were validated when they were made."""
+        d = cls.__new__(cls)
+        d._w = weights
+        return d
+
+    @classmethod
     def point(cls, x) -> "Distribution":
         return cls({x: Fraction(1)})
 

@@ -196,18 +196,14 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
             if rest:
                 work.append(rest)
             continue
-
-        def succ(s):
-            acc = set()
-            for d in staying[s]:
-                acc |= d.support()
-            return acc
-
-        comps = sccs(cand, succ)
-        if len(comps) == 1 and len(comps[0]) == len(cand):
+        verts = csorted(cand)
+        ids = {s: i for i, s in enumerate(verts)}
+        adj = [sorted({ids[x] for d in staying[s] for x in d.support()}) for s in verts]
+        comps = sccs(adj)
+        if len(comps) == 1:
             out.append(cand)
         else:
-            work.extend(frozenset(c) for c in comps)
+            work.extend(frozenset(verts[i] for i in c) for c in comps)
     return sorted(out, key=ckey)
 
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-from qualtree.ordering import csorted
+from typing import Callable, Iterable, Sequence
 
 
 def reachable(starts: Iterable, succ: Callable) -> set:
@@ -19,56 +17,56 @@ def reachable(starts: Iterable, succ: Callable) -> set:
     return seen
 
 
-def sccs(nodes: Iterable, succ: Callable) -> list[list]:
-    """Tarjan's algorithm, iterative to survive deep products.
+def sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's algorithm on vertices ``0 .. len(adj) - 1``, iterative to
+    survive deep products.
 
-    Components come out in reverse topological order; node exploration is
-    canonically sorted so the decomposition is deterministic.
+    ``adj[v]`` lists the successors of ``v``.  Roots and successors are
+    explored in list order, so callers that number vertices canonically get
+    a deterministic decomposition.  Components come out in reverse
+    topological order: no edge leads from a component to a later one.
     """
-    nodes = csorted(nodes)
-    nodeset = set(nodes)
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out: list[list] = []
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(csorted(w for w in succ(root) if w in nodeset)))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(csorted(x for x in succ(w) if x in nodeset))))
-                    advanced = True
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
     return out

@@ -2,7 +2,9 @@
 
 Verdicts for the repeated-visit conditions reduce to bottom strongly
 connected components: a finite chain enters some BSCC with probability 1
-and then visits every state of it infinitely often.  Finite-word
+and then visits every state of it infinitely often.  The product chains of
+an automaton with a lasso word or a regular tree are explored from their
+initial state, so they hold only the states a run can reach.  Finite-word
 acceptance probabilities are computed by exact forward propagation.
 """
 
@@ -18,13 +20,20 @@ from qualtree.automata import (
     ProbWordAutomaton,
 )
 from qualtree.dist import Distribution
-from qualtree.graphs import reachable, sccs
+from qualtree.graphs import sccs
 from qualtree.ordering import ckey
 from qualtree.trees import RegularTree, UltimatelyPeriodicWord
 
 
 @dataclass(frozen=True)
 class MarkovChain:
+    """A finite chain with exact weights and a marked set of states.
+
+    Chains built by ``word_chain`` and ``tree_chain`` are explored from
+    ``initial``: ``states`` holds only the reachable states, in canonical
+    order, and ``trans`` and ``marked`` are restricted to them.
+    """
+
     states: tuple
     initial: object
     trans: dict  # state -> Distribution, total on reachable states
@@ -36,13 +45,30 @@ class MarkovChain:
 
 def bsccs(m: MarkovChain) -> list[frozenset]:
     """Bottom SCCs reachable from the initial state, canonically ordered."""
-    reach = reachable([m.initial], m.successors)
-    out = []
-    for comp in sccs(reach, m.successors):
-        cset = frozenset(comp)
-        if all(m.successors(s) <= cset for s in comp):
-            out.append(cset)
-    return sorted(out, key=ckey)
+    order = [m.initial]  # states reachable from the initial one, by id
+    ids = {m.initial: 0}
+    adj = []
+    for s in order:  # breadth-first: order grows while it is read
+        row = []
+        for x in m.successors(s):
+            j = ids.get(x)
+            if j is None:
+                j = ids[x] = len(order)
+                order.append(x)
+            row.append(j)
+        adj.append(row)
+    comps = sccs(adj)
+    comp_of = [0] * len(order)
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
+    out = [
+        frozenset(order[v] for v in comp)
+        for c, comp in enumerate(comps)
+        if all(comp_of[w] == c for v in comp for w in adj[v])
+    ]
+    # ckey of a component sorts all its states: skip it when there is no order to find
+    return sorted(out, key=ckey) if len(out) > 1 else out
 
 
 def as_verdict(m: MarkovChain, kind: str) -> bool:
@@ -67,25 +93,37 @@ def acceptance_probability(a: ProbWordAutomaton, final: frozenset, u: tuple) -> 
     return sum((p for q, p in vec.items() if q in final), Fraction(0))
 
 
-def _lasso_positions(w: UltimatelyPeriodicWord):
-    k, n = len(w.prefix), len(w)
-
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < n else k
-
-    return n, nxt
+def _explore(start, row) -> dict:
+    """Transition rows of the states reachable from ``start``; ``row(s)``
+    returns the successor weights of ``s`` as a dict."""
+    trans: dict = {}
+    todo = [start]
+    while todo:
+        s = todo.pop()
+        if s not in trans:
+            weights = row(s)
+            trans[s] = Distribution._trusted(weights)
+            todo.extend(x for x in weights if x not in trans)
+    return trans
 
 
 def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> MarkovChain:
     """The finite quotient of the run chain over w, indexed by lasso position."""
-    n, nxt = _lasso_positions(w)
-    states = tuple((q, i) for q in sorted(a.states) for i in range(n))
-    trans = {
-        (q, i): a.dist(q, w.at(i)).map(lambda q2, j=nxt(i): (q2, j))
-        for q in a.states
-        for i in range(n)
-    }
-    marked = frozenset((q, i) for q in final for i in range(n))
+    k, n = len(w.prefix), len(w)
+    rows: dict = {}  # (state, symbol) -> weighted successors
+
+    def row(s):
+        q, i = s
+        key = (q, w.at(i))
+        succ = rows.get(key)
+        if succ is None:
+            succ = rows[key] = a.dist(*key).items()
+        j = i + 1 if i + 1 < n else k
+        return {(q2, j): p for q2, p in succ}
+
+    trans = _explore((a.initial, 0), row)
+    states = tuple(sorted(trans))
+    marked = frozenset(s for s in states if s[0] in final)
     return MarkovChain(states, (a.initial, 0), trans, marked)
 
 
@@ -98,21 +136,30 @@ def lasso_membership_word(
 def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> MarkovChain:
     """Run chain of a probabilistic tree automaton over a regular tree.
 
-    States are (automaton state, tree node); each split target contributes
-    half its weight to each child, with like terms merged.
+    States are (automaton state, tree node), explored from (initial, root);
+    each split target contributes half its weight to each child, with like
+    terms merged.
     """
-    states = tuple((q, n) for q in sorted(a.states) for n in t.nodes)
-    trans = {}
-    for q in a.states:
-        for n in t.nodes:
-            d = a.dist(q, t.label[n])
-            acc: dict = {}
-            for (q0, q1), w in d.items():
-                half = w / 2
-                for tgt in ((q0, t.succ0[n]), (q1, t.succ1[n])):
-                    acc[tgt] = acc.get(tgt, Fraction(0)) + half
-            trans[(q, n)] = Distribution(acc)
-    marked = frozenset((q, n) for q in final for n in t.nodes)
+    halves: dict = {}  # (state, symbol) -> split targets with half weights
+
+    def row(s):
+        q, n = s
+        key = (q, t.label[n])
+        split = halves.get(key)
+        if split is None:
+            split = halves[key] = [(pair, w / 2) for pair, w in a.dist(*key).items()]
+        c0, c1 = t.succ0[n], t.succ1[n]
+        acc: dict = {}
+        for (q0, q1), half in split:
+            for tgt in ((q0, c0), (q1, c1)):
+                acc[tgt] = acc[tgt] + half if tgt in acc else half
+        return acc
+
+    trans = _explore((a.initial, t.root), row)
+    qrank = {q: i for i, q in enumerate(sorted(a.states))}
+    nrank = {n: i for i, n in enumerate(t.nodes)}
+    states = tuple(sorted(trans, key=lambda s: (qrank[s[0]], nrank[s[1]])))
+    marked = frozenset(s for s in states if s[0] in final)
     return MarkovChain(states, (a.initial, t.root), trans, marked)
 
 

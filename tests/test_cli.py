@@ -106,6 +106,26 @@ def test_ptree_membership(files, tmp_path):
     assert code == 1 and "verdict: nonmember" in out
 
 
+def test_word_membership_rejects_symbols_outside_alphabet(files, tmp_path):
+    alien = tmp_path / "alien.word"
+    alien.write_text(serialize_word(lasso(("a", "c"), ("s",))))
+    code, out = run_cli("word-membership", str(files["detector"]), str(alien))
+    assert code == 2 and "verdict" not in out
+
+
+def test_ptree_membership_rejects_symbols_outside_alphabet(files, tmp_path):
+    from qualtree.reductions import lift_diagonal
+    from qualtree.trees import tree_from_word
+
+    det = parse_automaton(files["detector"].read_text())
+    lifted = tmp_path / "lifted.aut"
+    lifted.write_text(serialize_automaton(lift_diagonal(det.automaton), det.acceptance))
+    alien = tmp_path / "alien.tree"
+    alien.write_text(serialize_tree(tree_from_word(lasso(("a", "c"), ("s",)))))
+    code, out = run_cli("ptree-membership", str(lifted), str(alien))
+    assert code == 2 and "verdict" not in out
+
+
 def test_solve_game_with_oracle(tmp_path):
     rng = random.Random(71)
     g = random_arena(rng, 5)

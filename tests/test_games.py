@@ -188,7 +188,8 @@ def _brute_force_mecs(m: Mdp):
                     return [w for w in g.edges[v]]
                 return [w for w in g.edges[v] if w in s]
 
-            comps = sccs(s, succ)
+            ids = {v: i for i, v in enumerate(sub)}
+            comps = sccs([[ids[w] for w in succ(v)] for v in sub])
             if len(comps) == 1 and len(comps[0]) == len(s):
                 ecs.append(s)
     return {e for e in ecs if not any(e < f for f in ecs)}

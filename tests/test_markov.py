@@ -7,6 +7,7 @@ import pytest
 
 from qualtree.automata import Alphabet
 from qualtree.dist import Distribution
+from qualtree.graphs import reachable
 from qualtree.markov import (
     MarkovChain,
     acceptance_probability,
@@ -18,8 +19,8 @@ from qualtree.markov import (
     word_chain,
 )
 from qualtree.reductions import lift_diagonal, lift_swap, sharps_automaton
-from qualtree.suite import random_lasso_word, random_simple_pwa
-from qualtree.trees import lasso, tree_from_word
+from qualtree.suite import random_lasso_word, random_regular_tree, random_simple_pwa
+from qualtree.trees import RegularTree, lasso, tree_from_word
 
 AB = Alphabet(("a",))
 
@@ -186,6 +187,72 @@ def test_lift_product_chains_are_equal_graphs():
         w = random_lasso_word(rng, sigma)
         t = tree_from_word(w)
         assert tree_chain(lift_diagonal(a), final, t) == tree_chain(lift_swap(a), final, t)
+
+
+def _full_word_chain(a, final, w):
+    """Oracle: a row for every (state, lasso position) pair, reachable or not."""
+    n, k = len(w), len(w.prefix)
+    states = tuple((q, i) for q in sorted(a.states) for i in range(n))
+    trans = {
+        (q, i): Distribution(
+            [((q2, i + 1 if i + 1 < n else k), p) for q2, p in a.dist(q, w.at(i)).items()]
+        )
+        for q, i in states
+    }
+    marked = frozenset((q, i) for q in final for i in range(n))
+    return MarkovChain(states, (a.initial, 0), trans, marked)
+
+
+def _full_tree_chain(a, final, t):
+    """Oracle: a row for every (state, tree node) pair, reachable or not."""
+    states = tuple((q, n) for q in sorted(a.states) for n in t.nodes)
+    trans = {}
+    for q, n in states:
+        acc: dict = {}
+        for (q0, q1), w in a.dist(q, t.label[n]).items():
+            for tgt in ((q0, t.succ0[n]), (q1, t.succ1[n])):
+                acc[tgt] = acc.get(tgt, Fraction(0)) + w / 2
+        trans[(q, n)] = Distribution(acc)
+    marked = frozenset((q, n) for q in final for n in t.nodes)
+    return MarkovChain(states, (a.initial, t.root), trans, marked)
+
+
+def _reachable_part(m):
+    reach = reachable([m.initial], m.successors)
+    states = tuple(s for s in m.states if s in reach)
+    return MarkovChain(states, m.initial, {s: m.trans[s] for s in states}, m.marked & reach)
+
+
+def _with_unreachable_nodes(rng, t, sigma, extra):
+    """t with its nodes listed in random order and `extra` nodes spliced in
+    among them that the root never reaches."""
+    nodes = rng.sample(t.nodes, len(t.nodes))
+    label, succ0, succ1 = dict(t.label), dict(t.succ0), dict(t.succ1)
+    for i in range(extra):
+        nodes.insert(rng.randint(0, len(nodes)), f"u{i}")
+    for i in range(extra):
+        label[f"u{i}"] = rng.choice(sigma.symbols)
+        succ0[f"u{i}"] = rng.choice(nodes)
+        succ1[f"u{i}"] = rng.choice(nodes)
+    return RegularTree(tuple(nodes), t.root, label, succ0, succ1)
+
+
+def test_chain_builders_match_full_product_oracle():
+    rng = random.Random(31)
+    sigma = Alphabet(("a", "b"))
+    for _ in range(60):
+        a = random_simple_pwa(rng, 5, sigma)
+        final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
+        w = random_lasso_word(rng, sigma, 4, 5)
+        t = _with_unreachable_nodes(rng, random_regular_tree(rng, 8, sigma), sigma, 3)
+        pairs = [(word_chain(a, final, w), _full_word_chain(a, final, w))]
+        for lift in (lift_diagonal, lift_swap):
+            pairs.append((tree_chain(lift(a), final, t), _full_tree_chain(lift(a), final, t)))
+        for fast, full in pairs:
+            assert fast == _reachable_part(full)
+            assert not {u for _, u in fast.states} & {"u0", "u1", "u2"}
+            for kind in ("buchi", "cobuchi"):
+                assert as_verdict(fast, kind) == as_verdict(full, kind)
 
 
 def test_qualitative_verdicts_depend_only_on_support():
