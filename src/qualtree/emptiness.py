@@ -13,9 +13,14 @@ into a regular witness tree.
 Strategy semantics here is the normative anchor: a pure strategy with
 knowledge-set memory either passes or fails the exact product check
 `check_observation_strategy`.  The solver searches that strategy space
-directly, after two sound short-cuts (a full-information upper bound and a
-sure-winning knowledge-game lower bound); the blunt enumeration in
-`solve_by_enumeration` re-derives every verdict independently.
+directly, after two sound short-cuts (a full-information upper bound, run
+before any knowledge set is explored, and a sure-winning knowledge-game
+lower bound).  The sure-winning short-cut and the search run on integer
+ids (vertices, knowledge sets and actions numbered once) and on supports,
+since a refutation only asks whether a target-free end component exists;
+every strategy they return still passes `check_observation_strategy`.
+The blunt enumeration in `solve_by_enumeration` shares only the
+backtracking order and re-derives every verdict with that exact check.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from qualtree.games import (
     StochasticArena,
     _positive_cobuchi_view,
     almost_sure_buchi,
+    mec_decomposition,
 )
 from qualtree.ordering import ckey, csorted
 from qualtree.trees import RegularTree
@@ -217,19 +223,17 @@ def _product_view(g: ImperfectInfoArena, s: ObservationStrategy) -> tuple[MdpVie
         act = s.act[(m, o)]
         mvs = []
         for d in g.trans[(v, act)]:
-            def push(v2, _m=m, _a=act):
-                o2 = g.obs[v2]
-                key = (_m, o2, _a)
+            step = set()
+            for v2 in d.support():
+                key = (m, g.obs[v2], act)
                 if key not in s.update:
                     raise ValueError(
-                        f"strategy update undefined on memory {_m!r}, "
-                        f"observation {o2!r}, action {_a!r}"
+                        f"strategy update undefined on memory {m!r}, "
+                        f"observation {key[1]!r}, action {act!r}"
                     )
-                return (v2, s.update[key])
-
-            d2 = d.map(push)
-            mvs.append(d2)
-            for st in d2.support():
+                step.add((v2, s.update[key]))
+            mvs.append(frozenset(step))
+            for st in step:
                 if st not in seen:
                     seen.add(st)
                     queue.append(st)
@@ -275,7 +279,8 @@ def reachable_beliefs(g: ImperfectInfoArena, cap: int):
     """Breadth-first knowledge-set exploration.
 
     Returns the discovery-ordered belief list and the successor table
-    {(belief, action): {observation: belief}}.
+    {(belief, action): {observation: belief}}, each inner dict in canonical
+    observation order.
     """
     b0 = initial_belief(g)
     order = [b0]
@@ -304,127 +309,142 @@ def _belief_obs(g: ImperfectInfoArena, b: frozenset):
     return g.obs[min(b, key=ckey)]
 
 
-def _materialize(g: ImperfectInfoArena, assign: dict, post: dict) -> ObservationStrategy:
-    """Package a per-belief action table as an ObservationStrategy,
-    restricted to the beliefs it actually reaches."""
-    b0 = initial_belief(g)
-    reached = [b0]
-    seen = {b0}
-    act: dict = {}
-    update: dict = {}
-    i = 0
-    while i < len(reached):
-        b = reached[i]
-        i += 1
-        a = assign[b]
-        act[(b, _belief_obs(g, b))] = a
-        for o, b2 in sorted(post[(b, a)].items(), key=lambda kv: ckey(kv[0])):
-            update[(b, o, a)] = b2
+def _reached(root, assign: dict, post: dict) -> tuple[list, object]:
+    """Knowledge sets reached from `root` under a per-belief action table,
+    breadth-first with successors in observation order.
+
+    Returns them with the first one the table leaves unassigned, where the
+    walk stops, or with None when the table is closed.  `post` maps
+    (belief, action) to {observation: belief}, on knowledge sets or on ids.
+    """
+    out = [root]
+    seen = {root}
+    for b in out:  # breadth-first: out grows while it is read
+        if b not in assign:
+            return out, b
+        for b2 in post[(b, assign[b])].values():
             if b2 not in seen:
                 seen.add(b2)
-                reached.append(b2)
+                out.append(b2)
+    return out, None
+
+
+def _materialize(g: ImperfectInfoArena, assign: dict, post: dict) -> ObservationStrategy:
+    """Package a closed per-belief action table as an ObservationStrategy,
+    restricted to the beliefs it actually reaches."""
+    reached, _ = _reached(initial_belief(g), assign, post)
+    act: dict = {}
+    update: dict = {}
+    for b in reached:
+        a = assign[b]
+        act[(b, _belief_obs(g, b))] = a
+        for o, b2 in post[(b, a)].items():
+            update[(b, o, a)] = b2
     return ObservationStrategy(
-        memory=tuple(reached), init_memory=b0, act=act, update=update
+        memory=tuple(reached), init_memory=reached[0], act=act, update=update
     )
 
 
-def _first_unassigned(g, assign: dict, post: dict):
-    """First belief reached under the partial table but not yet assigned,
-    in breadth-first order; None when the table is closed."""
-    b0 = initial_belief(g)
-    queue = [b0]
-    seen = {b0}
-    i = 0
-    while i < len(queue):
-        b = queue[i]
-        i += 1
-        if b not in assign:
-            return b
-        for _, b2 in sorted(post[(b, assign[b])].items(), key=lambda kv: ckey(kv[0])):
-            if b2 not in seen:
-                seen.add(b2)
-                queue.append(b2)
-    return None
+def _closed_tables(root, post: dict, actions, refuted=None):
+    """Every closed per-belief action table, depth-first.
 
-
-def _partial_product(g: ImperfectInfoArena, target: frozenset, assign: dict, post: dict):
-    """Product restricted to assigned beliefs; unassigned pairs are left open
-    (no moves), so they can never participate in an end component."""
-    start = (g.initial, initial_belief(g))
-    states: list = []
-    moves: dict = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        v, b = queue.pop()
-        if b not in assign:
-            continue
-        states.append((v, b))
-        a = assign[b]
-        mvs = []
-        for d in g.trans[(v, a)]:
-            d2 = d.map(lambda v2: (v2, post[(b, a)][g.obs[v2]]))
-            mvs.append(d2)
-            for st in d2.support():
-                if st not in seen:
-                    seen.add(st)
-                    queue.append(st)
-        moves[(v, b)] = tuple(mvs)
-    view = MdpView(tuple(csorted(states)), start, moves)
-    bad = frozenset(st for st in states if st[0] in target)
-    return view, bad
-
-
-def _partial_refuted(g, target, assign, post) -> bool:
-    """Sound refutation of a partial table: a target-free end component made
-    of already-assigned beliefs survives every completion."""
-    view, bad_target = _partial_product(g, target, assign, post)
-    safe = frozenset(view.states) - bad_target
-    from qualtree.games import mec_decomposition
-
-    return bool(mec_decomposition(view, within=safe))
-
-
-def _closed_table_wins(g, target, assign, post) -> bool:
-    view, bad_target = _partial_product(g, target, assign, post)
-    return not _positive_cobuchi_view(view, bad_target, view.initial)
-
-
-def _search_belief_table(g, target, post, actions, *, prune: bool):
-    """Backtracking search for a winning per-belief action table.
-
-    With `prune` the search discards partial tables refuted by a closed
-    target-free end component; without it this is the blunt enumeration
-    used as the oracle.
+    The first open belief in breadth-first order takes each action in turn.
+    A partial table that `refuted` rejects is cut with everything below it.
+    The yielded dict is the live table: copy it to keep it past the next step.
     """
     assign: dict = {}
     trail: list = []  # (belief, index into actions)
-
-    def backtrack() -> bool:
-        while trail:
+    while True:
+        if not (refuted and trail and refuted(assign)):
+            _, b = _reached(root, assign, post)
+            if b is not None:
+                trail.append((b, 0))
+                assign[b] = actions[0]
+                continue
+            yield assign
+        while trail:  # next sibling of the deepest belief that has one
             b, i = trail[-1]
             if i + 1 < len(actions):
                 trail[-1] = (b, i + 1)
                 assign[b] = actions[i + 1]
-                return True
+                break
             trail.pop()
             del assign[b]
-        return False
+        else:
+            return
 
-    while True:
-        if prune and trail and _partial_refuted(g, target, assign, post):
-            if not backtrack():
-                return None
-            continue
-        b = _first_unassigned(g, assign, post)
-        if b is None:
-            if _closed_table_wins(g, target, assign, post):
-                return dict(assign)
-            if not backtrack():
-                return None
-            continue
-        trail.append((b, 0))
-        assign[b] = actions[0]
+
+def _number_post(g: ImperfectInfoArena, beliefs: list, post: dict) -> dict:
+    """The knowledge-set successor table on ids: knowledge sets by discovery
+    order, actions by their order in `g.actions`."""
+    bid = {b: i for i, b in enumerate(beliefs)}
+    aid = {a: i for i, a in enumerate(g.actions)}
+    return {
+        (bid[b], aid[a]): {o: bid[b2] for o, b2 in branches.items()}
+        for (b, a), branches in post.items()
+    }
+
+
+def _table_refuter(g: ImperfectInfoArena, target: frozenset, post: dict):
+    """Refutation of partial tables on ids: `refuted(table)` is true when a
+    target-free end component of pairs whose knowledge set the table assigns
+    survives every completion.
+
+    Product pairs (vertex id, knowledge-set id) are explored breadth-first
+    from the start pair, so all are reachable from it and, on a closed table,
+    the predicate is exactly "the table loses".  Pairs of unassigned
+    knowledge sets get no moves, so they lie in no end component.  Moves are
+    support sets of pair ids: only supports matter.
+    """
+    n_act = len(g.actions)
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    # (vertex id * n_act + action id) -> per opponent choice, (successor id, observation)
+    moves = [
+        tuple(tuple((vid[v2], g.obs[v2]) for v2 in d.support()) for d in g.trans[(v, a)])
+        for v in g.vertices
+        for a in g.actions
+    ]
+    in_target = [v in target for v in g.vertices]
+    start = (vid[g.initial], 0)
+
+    def refuted(table: dict) -> bool:
+        pairs = [start]
+        index = {start: 0}
+        prod: dict = {}
+        safe = []
+        for i, (v, b) in enumerate(pairs):  # breadth-first: pairs grows while read
+            a = table.get(b)
+            if a is None:
+                continue
+            branches = post[(b, a)]
+            mvs = []
+            for support in moves[v * n_act + a]:
+                step = set()
+                for v2, o in support:
+                    pair = (v2, branches[o])
+                    j = index.get(pair)
+                    if j is None:
+                        j = index[pair] = len(pairs)
+                        pairs.append(pair)
+                    step.add(j)
+                mvs.append(frozenset(step))
+            prod[i] = tuple(mvs)
+            if not in_target[v]:
+                safe.append(i)
+        view = MdpView(tuple(prod), 0, prod)
+        return bool(mec_decomposition(view, within=frozenset(safe)))
+
+    return refuted
+
+
+def _search_belief_table(g: ImperfectInfoArena, target: frozenset, post: dict):
+    """Backtracking search for a winning per-belief action table on ids.
+
+    Partial tables refuted by a target-free end component are cut, so the
+    first closed table the search reaches wins; None when there is none.
+    """
+    tables = _closed_tables(0, post, range(len(g.actions)), _table_refuter(g, target, post))
+    return next(tables, None)  # never resumed, so the live table stays as found
 
 
 # ---------------------------------------------------------------------------
@@ -470,90 +490,99 @@ def _wins_full_information(g, target) -> bool:
     return arena.initial in region
 
 
-def _det_attractor(region, owner_is_e, succ, base, for_eloise: bool):
-    attr = set(base) & region
+def _attractor(succ: list, pred: list, region: set, base: set, attracts, key=None):
+    """Nodes of `region` from which the player owning the nodes where
+    `attracts` holds forces a visit to `base`, in the order they join, and
+    for each joining node of that player the successor it moves to.
+
+    A worklist over predecessor counts, O(edges) for the region.  A node of
+    the attracting player joins with its first successor to join, any other
+    node once all its successors inside `region` have.  It goes round by
+    round, as a sweep to the fixed point does: an attracting node joins in
+    the round of its successor, any other node one round after its last one.
+    The chosen successor is the `key`-least of the round the node joined in.
+    """
+    left = {}  # non-attracting node -> successors in region still outside
+    for v in region:
+        if v not in base and not attracts(v):
+            left[v] = sum(w in region for w in succ[v])
+    frontier = sorted(base & region)
+    later = sorted(v for v, n in left.items() if n == 0)
+    joined = set(frontier) | set(later)
+    order: list = []
     witness: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in csorted(region - attr):
-            inside = [w for w in succ(v) if w in region]
-            if owner_is_e(v) == for_eloise:
-                hit = [w for w in inside if w in attr]
-                if hit:
-                    attr.add(v)
-                    witness[v] = min(hit, key=ckey)
-                    changed = True
-            else:
-                if all(w in attr for w in inside):
-                    attr.add(v)
-                    changed = True
-    return attr, witness
+    while frontier or later:
+        if not frontier:
+            frontier, later = later, []
+        order += frontier
+        now = set(frontier)
+        same = []
+        for w in frontier:
+            for v in pred[w]:
+                if v in joined or v not in region:
+                    continue
+                if attracts(v):
+                    joined.add(v)
+                    same.append(v)
+                else:
+                    left[v] -= 1
+                    if not left[v]:
+                        joined.add(v)
+                        later.append(v)
+        for v in same:
+            witness[v] = min((w for w in succ[v] if w in now), key=key)
+        frontier = same
+    return order, witness
 
 
-def _sure_belief_strategy(g, target, beliefs, post):
+def _sure_belief_strategy(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
     """Sure-winning play on knowledge sets alone: if every knowledge set on
     every play can be driven through all-target sets infinitely often, the
-    underlying blind strategy wins outright.  Sound, not complete."""
-    nodes = set()
-    succ: dict = {}
-    for b in beliefs:
-        nodes.add(b)
-        succ[b] = [(b, a) for a in g.actions]
-        for a in g.actions:
-            nodes.add((b, a))
-            succ[(b, a)] = [b2 for _, b2 in sorted(post[(b, a)].items())]
+    underlying blind strategy wins outright.  Sound, not complete.
 
-    def owner_is_e(v):
-        return isinstance(v, frozenset)
+    The knowledge-set game runs on ids: knowledge set b is node b, owned by
+    the protagonist, and the pair (b, action a) is node B + b*A + a, owned by
+    the opponent, who picks the next observation.  Returns a table
+    {knowledge-set id: action id}, or None.
+    """
+    n_b, n_a = len(beliefs), len(g.actions)
+    succ = [range(n_b + b * n_a, n_b + (b + 1) * n_a) for b in range(n_b)]
+    succ += [list(post[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
+    pred: list = [[] for _ in succ]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    rank = {a: r for r, a in enumerate(sorted(range(n_a), key=lambda a: ckey(g.actions[a])))}
 
-    goal = {b for b in beliefs if b <= target}
-    region = set(nodes)
-    witness_keep: dict = {}
+    def key(w):  # canonical order of the action of a (b, a) node
+        return rank[(w - n_b) % n_a]
+
+    goal = {b for b in range(n_b) if beliefs[b] <= target}
+    region = set(range(len(succ)))
     while True:
-        attr, witness = _det_attractor(region, owner_is_e, lambda v: succ[v], goal & region, True)
-        witness_keep = witness
-        lost = region - attr
+        attr, witness = _attractor(succ, pred, region, goal & region, lambda v: v < n_b, key)
+        lost = region.difference(attr)
         if not lost:
             break
-        trap, _ = _det_attractor(region, owner_is_e, lambda v: succ[v], lost, False)
-        region -= trap
-        if initial_belief(g) not in region:
+        trap, _ = _attractor(succ, pred, region, lost, lambda v: v >= n_b)
+        region.difference_update(trap)
+        if 0 not in region:
             return None
-    if initial_belief(g) not in region:
-        return None
 
-    assign: dict = {}
-    for b in beliefs:
+    table: dict = {}
+    for b in range(n_b):
         if b not in region:
             continue
-        if b in witness_keep:
-            assign[b] = witness_keep[b][1]  # the chosen (belief, action) node
+        if b in witness:
+            table[b] = witness[b] - n_b - b * n_a
         else:
-            stay = [a for a in g.actions if (b, a) in region]
+            stay = [a for a in range(n_a) if n_b + b * n_a + a in region]
             if not stay:
                 return None
-            assign[b] = stay[0]
-    if any(b not in assign for b in _table_closure(g, assign, post)):
+            table[b] = stay[0]
+    if _reached(0, table, post)[1] is not None:
         return None
-    return assign
-
-
-def _table_closure(g, assign, post):
-    b0 = initial_belief(g)
-    out = [b0]
-    seen = {b0}
-    i = 0
-    while i < len(out):
-        b = out[i]
-        i += 1
-        if b not in assign:
-            return out  # caller treats an open reachable belief as failure
-        for _, b2 in sorted(post[(b, assign[b])].items(), key=lambda kv: ckey(kv[0])):
-            if b2 not in seen:
-                seen.add(b2)
-                out.append(b2)
-    return out
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +596,21 @@ def solve_imperfect_buchi(
     """Decide almost-sure repeated reach for the blind protagonist.
 
     Verdict true iff some pure knowledge-set strategy passes the exact
-    product check; the returned witness always does.
+    product check; the returned witness always does.  The full-information
+    refutation runs first, so it needs no knowledge sets; the sure-winning
+    short-cut and the search then run on integer ids.
     """
     target = frozenset(target)
-    if not target:
+    if not target or not _wins_full_information(g, target):
         return False, None
     beliefs, post = reachable_beliefs(g, belief_cap)
-    if not _wins_full_information(g, target):
+    ids = _number_post(g, beliefs, post)
+    table = _sure_belief_strategy(g, target, beliefs, ids)
+    if table is None:
+        table = _search_belief_table(g, target, ids)
+    if table is None:
         return False, None
-    assign = _sure_belief_strategy(g, target, beliefs, post)
-    if assign is None:
-        assign = _search_belief_table(g, target, post, list(g.actions), prune=True)
-    if assign is None:
-        return False, None
+    assign = {beliefs[b]: g.actions[a] for b, a in table.items()}
     strat = _materialize(g, assign, post)
     if not check_observation_strategy(g, target, strat):
         raise DisagreementError("synthesised strategy failed its own check")
@@ -589,38 +620,17 @@ def solve_imperfect_buchi(
 def solve_by_enumeration(
     g: ImperfectInfoArena, target, *, belief_cap: int = 2**18
 ) -> tuple[bool, ObservationStrategy | None]:
-    """Blunt oracle: try every per-belief action table, judging each complete
+    """Blunt oracle: try every per-belief action table, judging each closed
     table with the public strategy check."""
     target = frozenset(target)
     if not target:
         return False, None
-    beliefs, post = reachable_beliefs(g, belief_cap)
-    assign: dict = {}
-    trail: list = []
-    actions = list(g.actions)
-
-    def backtrack() -> bool:
-        while trail:
-            b, i = trail[-1]
-            if i + 1 < len(actions):
-                trail[-1] = (b, i + 1)
-                assign[b] = actions[i + 1]
-                return True
-            trail.pop()
-            del assign[b]
-        return False
-
-    while True:
-        b = _first_unassigned(g, assign, post)
-        if b is None:
-            strat = _materialize(g, assign, post)
-            if check_observation_strategy(g, target, strat):
-                return True, strat
-            if not backtrack():
-                return False, None
-            continue
-        trail.append((b, 0))
-        assign[b] = actions[0]
+    _, post = reachable_beliefs(g, belief_cap)
+    for assign in _closed_tables(initial_belief(g), post, list(g.actions)):
+        strat = _materialize(g, assign, post)
+        if check_observation_strategy(g, target, strat):
+            return True, strat
+    return False, None
 
 
 def enumerate_bit_enriched(

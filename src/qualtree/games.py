@@ -146,8 +146,10 @@ def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
 
 
 # ---------------------------------------------------------------------------
-# Generic MDP view: controller states with a finite set of moves, each move a
-# distribution.  Products built elsewhere (strategy checks) reuse this layer.
+# Generic MDP view: controller states with a finite set of moves, each move the
+# support of a distribution.  End components and the qualitative verdicts built
+# on them depend only on supports.  Products built elsewhere (strategy checks,
+# the emptiness search) reuse this layer.
 # ---------------------------------------------------------------------------
 
 
@@ -155,13 +157,10 @@ def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
 class MdpView:
     states: tuple
     initial: object
-    moves: dict  # state -> tuple of Distributions (possibly empty after restriction)
+    moves: dict  # state -> tuple of support frozensets (possibly empty after restriction)
 
     def succ(self, s):
-        out = set()
-        for d in self.moves.get(s, ()):
-            out |= d.support()
-        return out
+        return set().union(*self.moves.get(s, ()))
 
 
 def view_of_mdp(m: Mdp) -> MdpView:
@@ -169,9 +168,9 @@ def view_of_mdp(m: Mdp) -> MdpView:
     moves = {}
     for v in g.vertices:
         if v in g.random:
-            moves[v] = (g.dist[v],)
+            moves[v] = (g.dist[v].support(),)
         else:
-            moves[v] = tuple(Distribution.point(w) for w in g.edges[v])
+            moves[v] = tuple(frozenset((w,)) for w in g.edges[v])
     return MdpView(tuple(csorted(g.vertices)), g.initial, moves)
 
 
@@ -187,7 +186,7 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
     while work:
         cand = work.pop()
         staying = {
-            s: [d for d in view.moves.get(s, ()) if d.support() <= cand]
+            s: [d for d in view.moves.get(s, ()) if d <= cand]
             for s in cand
         }
         dead = {s for s in cand if not staying[s]}
@@ -198,7 +197,7 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
             continue
         verts = csorted(cand)
         ids = {s: i for i, s in enumerate(verts)}
-        adj = [sorted({ids[x] for d in staying[s] for x in d.support()}) for s in verts]
+        adj = [sorted({ids[x] for d in staying[s] for x in d}) for s in verts]
         comps = sccs(adj)
         if len(comps) == 1:
             out.append(cand)

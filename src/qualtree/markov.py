@@ -67,8 +67,9 @@ def bsccs(m: MarkovChain) -> list[frozenset]:
         for c, comp in enumerate(comps)
         if all(comp_of[w] == c for v in comp for w in adj[v])
     ]
-    # ckey of a component sorts all its states: skip it when there is no order to find
-    return sorted(out, key=ckey) if len(out) > 1 else out
+    # Components are disjoint, so their canonical (ckey) order is that of
+    # their least states: no component's key needs to be sorted.
+    return sorted(out, key=lambda c: min(map(ckey, c))) if len(out) > 1 else out
 
 
 def as_verdict(m: MarkovChain, kind: str) -> bool:

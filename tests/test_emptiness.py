@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -21,10 +23,20 @@ from qualtree.emptiness import (
     reachable_beliefs,
     solve_by_enumeration,
     solve_imperfect_buchi,
+    _attractor,
+    _closed_tables,
+    _materialize,
+    _number_post,
+    _reached,
+    _search_belief_table,
+    _sure_belief_strategy,
+    _table_refuter,
     _wins_full_information,
 )
 from qualtree.errors import ResourceLimit
 from qualtree.dist import Distribution
+from qualtree.games import MdpView, mec_decomposition
+from qualtree.ordering import ckey, csorted
 from qualtree.gallery import (
     contradictory_uniformity_automaton,
     one_state_acceptor,
@@ -328,3 +340,199 @@ def test_belief_exploration_is_observation_pure():
     assert beliefs[0] == initial_belief(game)
     for b in beliefs:
         assert len({game.obs[v] for v in b}) == 1
+
+
+def test_full_information_refutation_needs_no_knowledge_sets():
+    """Automata the full-information relaxation refutes are empty even when
+    their knowledge sets exceed the cap."""
+    rng = random.Random(7)
+    refuted = []
+    for i in range(100):
+        aut, final = random_alternating_buchi(rng, max_states=4)
+        game, target = build_emptiness_game(aut, final)
+        if target and not _wins_full_information(game, target):
+            if len(reachable_beliefs(game, cap=10_000)[0]) > 2:
+                refuted.append(i)
+                assert check_emptiness(aut, final, belief_cap=2).kind == "empty"
+    assert {15, 48, 57, 59, 77} <= set(refuted)
+
+
+# ---------------------------------------------------------------------------
+# The integer-id fast paths against the code they replaced, kept here only as
+# the oracle: the Distribution-based partial product with its end-component
+# refutation, and the sweep attractor of the sure-winning short-cut.
+# ---------------------------------------------------------------------------
+
+
+def _old_partial_refuted(g, target, assign, post):
+    start = (g.initial, initial_belief(g))
+    states, moves, seen, queue = [], {}, {start}, [start]
+    while queue:
+        v, b = queue.pop()
+        if b not in assign:
+            continue
+        states.append((v, b))
+        a = assign[b]
+        mvs = []
+        for d in g.trans[(v, a)]:
+            d2 = d.map(lambda v2: (v2, post[(b, a)][g.obs[v2]]))
+            mvs.append(d2.support())
+            for st in d2.support():
+                if st not in seen:
+                    seen.add(st)
+                    queue.append(st)
+        moves[(v, b)] = tuple(mvs)
+    view = MdpView(tuple(csorted(states)), start, moves)
+    safe = frozenset(st for st in states if st[0] not in target)
+    return bool(mec_decomposition(view, within=safe))
+
+
+def _det_attractor(region, owner_is_e, succ, base, for_eloise):
+    attr = set(base) & region
+    witness = {}
+    changed = True
+    while changed:
+        changed = False
+        for v in csorted(region - attr):
+            inside = [w for w in succ(v) if w in region]
+            if owner_is_e(v) == for_eloise:
+                hit = [w for w in inside if w in attr]
+                if hit:
+                    attr.add(v)
+                    witness[v] = min(hit, key=ckey)
+                    changed = True
+            elif all(w in attr for w in inside):
+                attr.add(v)
+                changed = True
+    return attr, witness
+
+
+def _old_sure_belief_strategy(g, target, beliefs, post):
+    nodes, succ = set(), {}
+    for b in beliefs:
+        nodes.add(b)
+        succ[b] = [(b, a) for a in g.actions]
+        for a in g.actions:
+            nodes.add((b, a))
+            succ[(b, a)] = [b2 for _, b2 in sorted(post[(b, a)].items())]
+
+    def owner_is_e(v):
+        return isinstance(v, frozenset)
+
+    goal = {b for b in beliefs if b <= target}
+    region = set(nodes)
+    while True:
+        attr, witness = _det_attractor(region, owner_is_e, succ.get, goal & region, True)
+        lost = region - attr
+        if not lost:
+            break
+        trap, _ = _det_attractor(region, owner_is_e, succ.get, lost, False)
+        region -= trap
+        if initial_belief(g) not in region:
+            return None
+    assign = {}
+    for b in beliefs:
+        if b not in region:
+            continue
+        if b in witness:
+            assign[b] = witness[b][1]
+        else:
+            stay = [a for a in g.actions if (b, a) in region]
+            if not stay:
+                return None
+            assign[b] = stay[0]
+    return assign
+
+
+def _knowledge_games(seed, count):
+    """(game, target, beliefs, post) for seeded automata and arenas whose
+    full-information relaxation is won, so the knowledge-set routes run.
+    The arenas list their actions against canonical order."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            game, target = random_imperfect_arena(rng, max_vertices=5, max_actions=3)
+            game = dataclasses.replace(game, actions=game.actions[::-1])
+        else:
+            aut, final = random_alternating_buchi(rng, max_states=4)
+            game, target = build_emptiness_game(aut, final)
+        if not target or not _wins_full_information(game, target):
+            continue
+        beliefs, post = reachable_beliefs(game, cap=400)
+        out.append((game, frozenset(target), beliefs, post))
+    return out
+
+
+def test_integer_refutation_matches_distribution_product_on_every_visited_table():
+    aut, core = contradictory_uniformity_automaton()
+    game, target = build_emptiness_game(aut, core)
+    games = [(game, target, *reachable_beliefs(game, cap=400))] + _knowledge_games(71, 60)
+    visited = cut = 0
+    for game, target, beliefs, post in games:
+        ids = _number_post(game, beliefs, post)
+        refuted = _table_refuter(game, target, ids)
+
+        def checked(table):
+            nonlocal visited, cut
+            assign = {beliefs[b]: game.actions[a] for b, a in table.items()}
+            fast = refuted(table)
+            assert fast == _old_partial_refuted(game, target, assign, post)
+            visited += 1
+            cut += fast
+            return fast
+
+        tables = _closed_tables(0, ids, range(len(game.actions)), checked)
+        first = next(tables, None)
+        first = None if first is None else dict(first)
+        assert first == _search_belief_table(game, target, ids)
+        # every closed table the pruning lets through wins exactly
+        for table in itertools.chain([first] if first else [], itertools.islice(tables, 20)):
+            assign = {beliefs[b]: game.actions[a] for b, a in table.items()}
+            assert check_observation_strategy(game, target, _materialize(game, assign, post))
+    assert visited > 500 and 0 < cut < visited
+
+
+def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
+    rng = random.Random(73)
+    for game, target, beliefs, post in _knowledge_games(79, 60):
+        n_b, n_a = len(beliefs), len(game.actions)
+        ids = _number_post(game, beliefs, post)
+        node = list(beliefs) + [(b, a) for b in beliefs for a in game.actions]
+        succ = [range(n_b + b * n_a, n_b + (b + 1) * n_a) for b in range(n_b)]
+        succ += [list(ids[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
+        pred = [[] for _ in succ]
+        for v, ws in enumerate(succ):
+            for w in ws:
+                pred[w].append(v)
+        old_succ = {node[v]: [node[w] for w in ws] for v, ws in enumerate(succ)}
+
+        def key(w):
+            return ckey(game.actions[(w - n_b) % n_a])
+
+        def owner_is_e(x):
+            return isinstance(x, frozenset)
+
+        goal = {b for b in range(n_b) if beliefs[b] <= target}
+        regions = [set(range(len(node)))]
+        regions += [{v for v in range(len(node)) if rng.random() < 0.8} for _ in range(3)]
+        for region in regions:
+            for base, for_eloise in ((goal & region, True), (set(rng.sample(sorted(region), len(region) // 4)), False)):
+                attracts = (lambda v: v < n_b) if for_eloise else (lambda v: v >= n_b)
+                order, witness = _attractor(succ, pred, region, base, attracts, key)
+                old_attr, old_witness = _det_attractor(
+                    {node[v] for v in region}, owner_is_e, old_succ.get,
+                    {node[v] for v in base}, for_eloise)
+                assert len(order) == len(set(order))
+                assert {node[v] for v in order} == old_attr
+                position = {v: i for i, v in enumerate(order)}
+                for v, w in witness.items():
+                    assert w in succ[v] and w in position and position[w] < position[v]
+                if for_eloise:
+                    assert {node[v]: node[w] for v, w in witness.items()} == old_witness
+        table = _sure_belief_strategy(game, target, beliefs, ids)
+        old = _old_sure_belief_strategy(game, target, beliefs, post)
+        if table is None:
+            assert old is None or _reached(initial_belief(game), old, post)[1] is not None
+        else:
+            assert {beliefs[b]: game.actions[a] for b, a in table.items()} == old

@@ -18,6 +18,7 @@ from qualtree.markov import (
     tree_chain,
     word_chain,
 )
+from qualtree.ordering import ckey
 from qualtree.reductions import lift_diagonal, lift_swap, sharps_automaton
 from qualtree.suite import random_lasso_word, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
@@ -80,6 +81,38 @@ def _random_chain(rng, n):
         trans[s] = Distribution({x: Fraction(w, total) for x, w in zip(support, weights)})
     marked = frozenset(s for s in states if rng.random() < 0.4)
     return MarkovChain(tuple(states), "s0", trans, marked)
+
+
+def _chain_with_bottoms(rng):
+    """A transient start over several disjoint cycles with chords, each a
+    bottom component; state names are (state, position) pairs."""
+    names = rng.sample([(f"q{i}", j) for i in range(5) for j in range(12)], 16)
+    groups, rest = [], names[3:]
+    while rest:
+        size = rng.randint(1, 4)
+        groups.append(rest[:size])
+        rest = rest[size:]
+    trans = {}
+    for group in groups:
+        for i, s in enumerate(group):
+            support = {group[(i + 1) % len(group)], rng.choice(group)}
+            trans[s] = Distribution({x: Fraction(1, len(support)) for x in support})
+    transient = names[:3]
+    for s in transient:
+        support = set(rng.sample(transient, 2)) | {rng.choice(g) for g in groups}
+        trans[s] = Distribution({x: Fraction(1, len(support)) for x in support})
+    m = MarkovChain(tuple(sorted(trans)), transient[0], trans, frozenset())
+    return m, {frozenset(g) for g in groups}
+
+
+def test_bscc_order_by_least_state_matches_sorted_component_keys():
+    rng = random.Random(61)
+    for _ in range(200):
+        m, groups = _chain_with_bottoms(rng)
+        bottoms = bsccs(m)
+        assert len(bottoms) == len(groups) >= 2
+        assert set(bottoms) == groups
+        assert bottoms == sorted(bottoms, key=ckey)
 
 
 def test_verdicts_agree_with_monte_carlo():
