@@ -51,25 +51,37 @@ def build_tree_game_arena(
     children, merged to a point mass when they coincide; local transitions
     move the state without leaving the node.
     """
+    # The arena is built without the arena checks; its edges stay inside it
+    # when every state and node they name is declared.
+    unknown = ({initial_state} | {t[2] for t in local_transitions}
+               | {q for t in split_transitions for q in t[2:]}) - states
+    if unknown:
+        raise ValueError(f"undeclared states: {' '.join(csorted(unknown))}")
+    nodes = frozenset(tree.nodes)
+    if tree.root not in nodes or not {*tree.succ0.values(), *tree.succ1.values()} <= nodes:
+        raise ValueError("the tree's root or a successor is not one of its nodes")
+
     split_by: dict = {}
     for (q, a, q0, q1) in split_transitions:
         split_by.setdefault((q, a), []).append((q0, q1))
     local_by: dict = {}
     for (q, a, q2) in local_transitions:
         local_by.setdefault((q, a), []).append(q2)
+    for rows in (split_by, local_by):
+        for row in rows.values():
+            row.sort()
 
     ve, va, vr = set(), set(), set()
     edges: dict = {}
     dist: dict = {}
     for q in csorted(states):
+        owned = ve if q in eloise else va
         for n in tree.nodes:
             v = state_vertex(q, n)
-            (ve if q in eloise else va).add(v)
+            owned.add(v)
             a = tree.label[n]
-            out = []
-            for q2 in sorted(local_by.get((q, a), [])):
-                out.append(state_vertex(q2, n))
-            for (q0, q1) in sorted(split_by.get((q, a), [])):
+            out = [state_vertex(q2, n) for q2 in local_by.get((q, a), ())]
+            for (q0, q1) in split_by.get((q, a), ()):
                 r = random_vertex(q, n, q0, q1)
                 vr.add(r)
                 out.append(r)
@@ -80,7 +92,7 @@ def build_tree_game_arena(
             if not out:
                 raise FormatError(f"no transition for state {q} on symbol {a}")
             edges[v] = tuple(out)
-    return StochasticArena(
+    return StochasticArena._trusted(
         eloise=frozenset(ve),
         abelard=frozenset(va),
         random=frozenset(vr),
@@ -93,8 +105,6 @@ def build_tree_game_arena(
 @dataclass(frozen=True)
 class AcceptanceGame:
     arena: StochasticArena
-    state_of: dict  # state vertex -> automaton state
-    node_of: dict  # state vertex -> tree node
     target: frozenset  # state vertices whose state is accepting
 
 
@@ -109,10 +119,8 @@ def build_acceptance_game(
         initial_state=a.initial,
         tree=t,
     )
-    state_of = {("s", q, n): q for q in a.states for n in t.nodes}
-    node_of = {("s", q, n): n for q in a.states for n in t.nodes}
-    target = frozenset(("s", q, n) for q in final for n in t.nodes)
-    return AcceptanceGame(arena, state_of, node_of, target)
+    target = frozenset(state_vertex(q, n) for q in final for n in t.nodes)
+    return AcceptanceGame(arena, target)
 
 
 def qualitative_membership(

@@ -14,6 +14,9 @@ from typing import Iterable, Mapping
 
 from qualtree.ordering import ckey
 
+_HALF = Fraction(1, 2)
+_ONE = Fraction(1)
+
 
 def exact(x) -> Fraction:
     """Convert to Fraction, refusing floating point."""
@@ -48,12 +51,12 @@ class Distribution:
 
     @classmethod
     def point(cls, x) -> "Distribution":
-        return cls({x: Fraction(1)})
+        return cls._trusted({x: _ONE})
 
     @classmethod
     def half_half(cls, x, y) -> "Distribution":
         """The even split over x and y; collapses to a point mass when x == y."""
-        return cls([(x, Fraction(1, 2)), (y, Fraction(1, 2))])
+        return cls._trusted({x: _ONE} if x == y else {x: _HALF, y: _HALF})
 
     @classmethod
     def mix(cls, parts: Iterable[tuple[Fraction, "Distribution"]]) -> "Distribution":
@@ -86,11 +89,20 @@ class Distribution:
         """Push forward along fn, merging collisions."""
         return Distribution([(fn(x), w) for x, w in self._w.items()])
 
+    def relabel(self, fn) -> "Distribution":
+        """Push forward along an injective fn: nothing merges, so the
+        weights are kept as they are, without checking them again."""
+        return Distribution._trusted({fn(x): w for x, w in self._w.items()})
+
     def __getitem__(self, x) -> Fraction:
         return self._w.get(x, Fraction(0))
 
     def __contains__(self, x) -> bool:
         return x in self._w
+
+    def __iter__(self):
+        """The support, in the order the weights were given."""
+        return iter(self._w)
 
     def __len__(self) -> int:
         return len(self._w)

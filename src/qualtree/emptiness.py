@@ -38,6 +38,7 @@ from qualtree.errors import DisagreementError, ResourceLimit
 from qualtree.games import (
     MdpView,
     StochasticArena,
+    _attractor,
     _positive_cobuchi_view,
     almost_sure_buchi,
     mec_decomposition,
@@ -264,43 +265,38 @@ def initial_belief(g: ImperfectInfoArena) -> frozenset:
     return frozenset({g.initial})
 
 
-def belief_post(g: ImperfectInfoArena, b: frozenset, action, o) -> frozenset:
-    """All vertices compatible with one more step and the new observation."""
-    out = set()
-    for v in b:
-        for d in g.trans[(v, action)]:
-            for v2 in d.support():
-                if g.obs[v2] == o:
-                    out.add(v2)
-    return frozenset(out)
-
-
 def reachable_beliefs(g: ImperfectInfoArena, cap: int):
     """Breadth-first knowledge-set exploration.
 
     Returns the discovery-ordered belief list and the successor table
     {(belief, action): {observation: belief}}, each inner dict in canonical
-    observation order.
+    observation order.  One walk over a knowledge set's transitions per
+    action buckets the successors by observation.
     """
+    rank = {o: i for i, o in enumerate(csorted(set(g.obs.values())))}
     b0 = initial_belief(g)
     order = [b0]
     seen = {b0}
     post: dict = {}
-    i = 0
-    while i < len(order):
-        b = order[i]
-        i += 1
+    for b in order:  # breadth-first: order grows while it is read
         for act in g.actions:
+            buckets: dict = {}
+            for v in b:
+                for d in g.trans[(v, act)]:
+                    for v2 in d:
+                        o = g.obs[v2]
+                        if o in buckets:
+                            buckets[o].add(v2)
+                        else:
+                            buckets[o] = {v2}
             branches: dict = {}
-            for o in csorted({g.obs[v2] for v in b for d in g.trans[(v, act)] for v2 in d.support()}):
-                b2 = belief_post(g, b, act, o)
-                if b2:
-                    branches[o] = b2
-                    if b2 not in seen:
-                        seen.add(b2)
-                        order.append(b2)
-                        if len(order) > cap:
-                            raise ResourceLimit("reachable knowledge sets", cap)
+            for o in sorted(buckets, key=rank.__getitem__):
+                b2 = branches[o] = frozenset(buckets[o])
+                if b2 not in seen:
+                    seen.add(b2)
+                    order.append(b2)
+                    if len(order) > cap:
+                        raise ResourceLimit("reachable knowledge sets", cap)
             post[(b, act)] = branches
     return order, post
 
@@ -454,14 +450,14 @@ def _search_belief_table(g: ImperfectInfoArena, target: frozenset, post: dict):
 
 def _full_information_arena(g: ImperfectInfoArena, target: frozenset):
     """Perfect-information relaxation; winning here is necessary for the
-    blind protagonist to win."""
-    ve, va, vr = set(), set(), set()
+    blind protagonist to win.  Built from supports, in the order of `g`,
+    without the arena checks: `g` was checked when it was made."""
+    lift = {v: ("p", v) for v in g.vertices}
+    ve, va, vr = set(lift.values()), set(), set()
     edges: dict = {}
     dist: dict = {}
     for v in g.vertices:
-        pv = ("p", v)
-        ve.add(pv)
-        edges[pv] = tuple(("c", v, a) for a in g.actions)
+        edges[lift[v]] = tuple(("c", v, a) for a in g.actions)
         for a in g.actions:
             cv = ("c", v, a)
             va.add(cv)
@@ -470,69 +466,23 @@ def _full_information_arena(g: ImperfectInfoArena, target: frozenset):
             for i, d in enumerate(ds):
                 zv = ("z", v, a, i)
                 vr.add(zv)
-                d2 = d.map(lambda v2: ("p", v2))
-                dist[zv] = d2
-                edges[zv] = tuple(csorted(d2.support()))
-    arena = StochasticArena(
+                dist[zv] = d.relabel(lift.__getitem__)
+                edges[zv] = tuple(lift[v2] for v2 in d)
+    arena = StochasticArena._trusted(
         eloise=frozenset(ve),
         abelard=frozenset(va),
         random=frozenset(vr),
         edges=edges,
         dist=dist,
-        initial=("p", g.initial),
+        initial=lift[g.initial],
     )
-    return arena, frozenset(("p", v) for v in target)
+    return arena, frozenset(lift[v] for v in target)
 
 
 def _wins_full_information(g, target) -> bool:
     arena, tgt = _full_information_arena(g, target)
     region, _ = almost_sure_buchi(arena, tgt)
     return arena.initial in region
-
-
-def _attractor(succ: list, pred: list, region: set, base: set, attracts, key=None):
-    """Nodes of `region` from which the player owning the nodes where
-    `attracts` holds forces a visit to `base`, in the order they join, and
-    for each joining node of that player the successor it moves to.
-
-    A worklist over predecessor counts, O(edges) for the region.  A node of
-    the attracting player joins with its first successor to join, any other
-    node once all its successors inside `region` have.  It goes round by
-    round, as a sweep to the fixed point does: an attracting node joins in
-    the round of its successor, any other node one round after its last one.
-    The chosen successor is the `key`-least of the round the node joined in.
-    """
-    left = {}  # non-attracting node -> successors in region still outside
-    for v in region:
-        if v not in base and not attracts(v):
-            left[v] = sum(w in region for w in succ[v])
-    frontier = sorted(base & region)
-    later = sorted(v for v, n in left.items() if n == 0)
-    joined = set(frontier) | set(later)
-    order: list = []
-    witness: dict = {}
-    while frontier or later:
-        if not frontier:
-            frontier, later = later, []
-        order += frontier
-        now = set(frontier)
-        same = []
-        for w in frontier:
-            for v in pred[w]:
-                if v in joined or v not in region:
-                    continue
-                if attracts(v):
-                    joined.add(v)
-                    same.append(v)
-                else:
-                    left[v] -= 1
-                    if not left[v]:
-                        joined.add(v)
-                        later.append(v)
-        for v in same:
-            witness[v] = min((w for w in succ[v] if w in now), key=key)
-        frontier = same
-    return order, witness
 
 
 def _sure_belief_strategy(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
@@ -546,21 +496,19 @@ def _sure_belief_strategy(g: ImperfectInfoArena, target: frozenset, beliefs: lis
     {knowledge-set id: action id}, or None.
     """
     n_b, n_a = len(beliefs), len(g.actions)
-    succ = [range(n_b + b * n_a, n_b + (b + 1) * n_a) for b in range(n_b)]
+    # (b, a) nodes in canonical action order: the attractor's witness is then
+    # the canonically least action of the round the knowledge set joined in
+    canonical = sorted(range(n_a), key=lambda a: ckey(g.actions[a]))
+    succ = [[n_b + b * n_a + a for a in canonical] for b in range(n_b)]
     succ += [list(post[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
     pred: list = [[] for _ in succ]
     for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
-    rank = {a: r for r, a in enumerate(sorted(range(n_a), key=lambda a: ckey(g.actions[a])))}
-
-    def key(w):  # canonical order of the action of a (b, a) node
-        return rank[(w - n_b) % n_a]
-
     goal = {b for b in range(n_b) if beliefs[b] <= target}
     region = set(range(len(succ)))
     while True:
-        attr, witness = _attractor(succ, pred, region, goal & region, lambda v: v < n_b, key)
+        attr, witness = _attractor(succ, pred, region, goal & region, lambda v: v < n_b)
         lost = region.difference(attr)
         if not lost:
             break

@@ -176,6 +176,9 @@ def parse_automaton(text: str) -> LoadedAutomaton:
     if alphabet is None or initial is None or not states:
         raise FormatError("automaton file needs alphabet, states and initial lines")
     sset = frozenset(states)
+    if accept is not None and not accept.target <= sset:
+        unknown = " ".join(csorted(accept.target - sset))
+        raise FormatError(f"accept line names undeclared states: {unknown}")
 
     if kind == "tree":
         aut: object = TreeAutomaton(
@@ -358,6 +361,9 @@ def parse_arena(text: str) -> tuple[StochasticArena, frozenset]:
             raise FormatError(f"bad arena line: {' '.join(line)}")
     if init is None:
         raise FormatError("arena file needs an init line")
+    if not target <= owner.keys():
+        unknown = " ".join(csorted(target - owner.keys()))
+        raise FormatError(f"target line names undeclared vertices: {unknown}")
     groups = {"eloise": set(), "abelard": set(), "random": set()}
     for v, o in owner.items():
         groups[o].add(v)

@@ -1,12 +1,19 @@
 """Finite turn-based stochastic games and their qualitative solvers.
 
-Almost-sure reachability and repeated-visit winning sets are computed by a
-greatest-fixed-point over two conditions: the candidate region must be
+The almost-sure repeated-reach set is the greatest region that is
 escape-proof (the opponent and the coin cannot leave it, the protagonist
-can stay), and from every vertex the protagonist must be able to force the
-target with positive probability inside the region.  Within a closed
-finite region, uniformly positive single-shot progress bootstraps to
-probability one, which is why this characterises the almost-sure set.
+can stay) and from every vertex of which the protagonist forces the target
+with positive probability inside the region.  Within a closed finite
+region, uniformly positive single-shot progress bootstraps to probability
+one, which is why this characterises the almost-sure set.
+
+The solver numbers the arena's vertices once and computes that region with
+two attractors on integer ids, one worklist attractor for both: the
+protagonist's attractor to the target (her vertices and the coin's
+attract), and, while it misses some vertex of the region, the opponent's
+attractor to the missed vertices (his vertices and the coin's attract),
+which is removed from the region.  Almost-sure reachability is the same
+fixed point on the arena with the target made absorbing.
 
 The normative definition of correctness is the positional-strategy
 enumeration oracle in :mod:`qualtree.game_oracles`; the fixed point here
@@ -67,6 +74,16 @@ class StochasticArena:
             if d.support() != frozenset(self.edges[v]):
                 raise ValueError(f"support of {v!r} does not match its edges")
 
+    @classmethod
+    def _trusted(cls, eloise, abelard, random, edges, dist, initial) -> "StochasticArena":
+        """Build without the checks of the constructor.  Internal builders
+        use it for arenas that are valid by construction; the public
+        constructor still checks every arena that arrives from outside."""
+        g = object.__new__(cls)
+        g.__dict__.update(eloise=eloise, abelard=abelard, random=random,
+                          edges=edges, dist=dist, initial=initial)
+        return g
+
     @property
     def vertices(self) -> frozenset:
         return self.eloise | self.abelard | self.random
@@ -122,9 +139,9 @@ def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
     """
     owned = g.eloise if s.owner == ELOISE else g.abelard
     other = g.abelard if s.owner == ELOISE else g.eloise
-    missing = csorted(v for v in owned if v not in s.choice)
+    missing = [v for v in owned if v not in s.choice]
     if missing:
-        raise ValueError(f"strategy does not cover vertex {missing[0]!r}")
+        raise ValueError(f"strategy does not cover vertex {csorted(missing)[0]!r}")
     edges = dict(g.edges)
     dist = dict(g.dist)
     for v in owned:
@@ -134,7 +151,7 @@ def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
         edges[v] = (c,)
         dist[v] = Distribution.point(c)
     return Mdp(
-        StochasticArena(
+        StochasticArena._trusted(
             eloise=other,
             abelard=frozenset(),
             random=g.random | owned,
@@ -283,65 +300,96 @@ def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _positive_attractor(g: StochasticArena, region: set, target: set):
-    """Vertices of `region` from which the protagonist forces positive-probability
-    reach of `target` inside the region; returns (set, witness successor map)."""
-    rank = {v: 0 for v in region & target}
+def _attractor(succ: list, pred: list, region: set, base: set, attracts):
+    """Nodes of `region` from which the player owning the nodes where
+    `attracts` holds forces a visit to `base`, in the order they join, and
+    for each joining node of that player the successor it moves to.
+
+    A worklist over predecessor counts, O(edges) for the region.  A node of
+    the attracting player joins with its first successor to join, any other
+    node once all its successors inside `region` have.  It goes round by
+    round, as a sweep to the fixed point does: an attracting node joins in
+    the round of its successor, any other node one round after its last one.
+    The chosen successor is the first in `succ[v]` of the round the node
+    joined in.
+    """
+    left = {}  # non-attracting node -> successors in region still outside
+    for v in region:
+        if v not in base and not attracts(v):
+            left[v] = sum(w in region for w in succ[v])
+    frontier = sorted(base & region)
+    later = sorted(v for v, n in left.items() if n == 0)
+    joined = set(frontier) | set(later)
+    order: list = []
     witness: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in csorted(region - rank.keys()):
-            succ = g.edges[v]
-            if v in g.abelard:
-                if all(w in rank for w in succ):
-                    rank[v] = 1 + max(rank[w] for w in succ)
-                    changed = True
-            else:
-                inside = [w for w in succ if w in rank]
-                if inside:
-                    best = min(inside, key=lambda w: (rank[w], ckey(w)))
-                    rank[v] = rank[best] + 1
-                    witness[v] = best
-                    changed = True
-    return set(rank), rank, witness
-
-
-def _closure_prune(g: StochasticArena, region: set) -> set:
-    region = set(region)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(region):
-            succ_in = [w for w in g.edges[v] if w in region]
-            ok = bool(succ_in) if v in g.eloise else len(succ_in) == len(g.edges[v])
-            if not ok:
-                region.discard(v)
-                changed = True
-    return region
+    while frontier or later:
+        if not frontier:
+            frontier, later = later, []
+        order += frontier
+        now = set(frontier)
+        same = []
+        for w in frontier:
+            for v in pred[w]:
+                if v in joined or v not in region:
+                    continue
+                if attracts(v):
+                    joined.add(v)
+                    same.append(v)
+                else:
+                    left[v] -= 1
+                    if not left[v]:
+                        joined.add(v)
+                        later.append(v)
+        for v in same:
+            witness[v] = next(w for w in succ[v] if w in now)
+        frontier = same
+    return order, witness
 
 
 def _as_buchi_core(g: StochasticArena, target: frozenset):
     """Greatest region that is escape-proof and everywhere positively attracted
-    to the target; returns (region, eloise choice map)."""
-    region = set(g.vertices)
+    to the target; returns (region, eloise choice map).
+
+    Vertices are numbered once, in the order `g.edges` lists them.  Starting
+    from all of them, the loop computes the protagonist's attractor to the
+    target inside the region, where her vertices and the coin's attract.
+    When it covers the region, the region is the answer.  Otherwise the
+    opponent's attractor to the vertices it misses, where his vertices and
+    the coin's attract, is removed, which leaves the region escape-proof,
+    and the loop goes round again.  Each round is O(edges) and removes at
+    least one vertex.
+
+    The protagonist moves to her witness in the last attractor, which joined
+    it a round earlier, and from a target vertex to her first successor
+    inside the region.  Neither depends on the numbering.
+    """
+    verts = list(g.edges)
+    vid = {v: i for i, v in enumerate(verts)}
+    succ = [[vid[w] for w in g.edges[v]] for v in verts]
+    pred: list = [[] for _ in verts]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    protagonist = [v in g.eloise for v in verts]
+    opponent = [v in g.abelard for v in verts]
+    goal = {vid[v] for v in target if v in vid}
+    region = set(range(len(verts)))
     while True:
-        region = _closure_prune(g, region)
+        attr, witness = _attractor(succ, pred, region, goal & region,
+                                   lambda v: not opponent[v])
+        lost = region.difference(attr)
+        if not lost:
+            break
+        trap, _ = _attractor(succ, pred, region, lost, lambda v: not protagonist[v])
+        region.difference_update(trap)
         if not region:
             return frozenset(), {}
-        attracted, rank, witness = _positive_attractor(g, region, set(target))
-        if attracted == region:
-            choice = {}
-            for v in csorted(region & g.eloise):
-                if v in witness:
-                    choice[v] = witness[v]
-                else:
-                    # target vertex at rank 0: restart by staying in the region
-                    choice[v] = min(
-                        (w for w in g.edges[v] if w in region), key=ckey
-                    )
-            return frozenset(region), choice
-        region = attracted
+    choice = {}
+    for v in sorted(region):
+        if protagonist[v]:
+            w = witness[v] if v in witness else next(w for w in succ[v] if w in region)
+            choice[verts[v]] = verts[w]
+    return frozenset(verts[v] for v in region), choice
 
 
 def almost_sure_buchi(g: StochasticArena, target) -> tuple[frozenset, PositionalStrategy]:
@@ -358,7 +406,7 @@ def _absorb(g: StochasticArena, target: frozenset) -> StochasticArena:
     for v in target & g.vertices:
         edges[v] = (v,)
         dist[v] = Distribution.point(v)
-    return StochasticArena(
+    return StochasticArena._trusted(
         eloise=g.eloise - target,
         abelard=g.abelard - target,
         random=g.random | (target & g.vertices),
@@ -480,7 +528,7 @@ def buchi_to_reachability(g: StochasticArena, target) -> tuple[StochasticArena, 
 
     edges = {}
     dist = {}
-    for v in g.vertices:
+    for v in g.edges:
         edges[v] = tuple(reroute(w) for w in g.edges[v])
         if v in g.random:
             dist[v] = g.dist[v].map(reroute)
@@ -489,7 +537,7 @@ def buchi_to_reachability(g: StochasticArena, target) -> tuple[StochasticArena, 
         dist[gate[s]] = Distribution.half_half(goal, s)
     edges[goal] = (goal,)
 
-    g2 = StochasticArena(
+    g2 = StochasticArena._trusted(
         eloise=g.eloise | {goal},
         abelard=g.abelard,
         random=g.random | frozenset(gate.values()),
@@ -503,4 +551,6 @@ def buchi_to_reachability(g: StochasticArena, target) -> tuple[StochasticArena, 
 def with_initial(g: StochasticArena, v) -> StochasticArena:
     if v == g.initial:
         return g
-    return StochasticArena(g.eloise, g.abelard, g.random, g.edges, g.dist, v)
+    if v not in g.edges:
+        raise ValueError(f"initial vertex {v!r} unknown")
+    return StochasticArena._trusted(g.eloise, g.abelard, g.random, g.edges, g.dist, v)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -69,6 +70,20 @@ def test_incomplete_automaton_is_named_in_error():
     t = constant_tree("b")
     with pytest.raises(FormatError, match="state q on symbol b"):
         build_acceptance_game(aut, frozenset({"q"}), t)
+
+
+def test_undeclared_states_and_nodes_are_rejected():
+    good = one_state_automaton()
+    t = constant_tree("a")
+    for aut in (
+        dataclasses.replace(good, initial="zz"),
+        dataclasses.replace(good, transitions=frozenset({("q", "a", "q", "zz")})),
+    ):
+        with pytest.raises(ValueError, match="undeclared states: zz"):
+            build_acceptance_game(aut, frozenset({"q"}), t)
+    for bad in (dataclasses.replace(t, root="zz"), dataclasses.replace(t, succ1={t.root: "zz"})):
+        with pytest.raises(ValueError, match="not one of its nodes"):
+            build_acceptance_game(good, frozenset({"q"}), bad)
 
 
 def test_opposing_checks_offer_two_transitions_at_the_root():

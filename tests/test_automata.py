@@ -36,6 +36,16 @@ def test_distribution_merges_and_drops_zero():
     assert d == Distribution.half_half("x", "y")
 
 
+@pytest.mark.parametrize("x, y", [("x", "y"), ("y", "x"), ("x", "x"), (("s", "q", "n"), ("s", "q", "n"))])
+def test_trusted_builders_equal_the_validated_construction(x, y):
+    half = Distribution([(x, Fraction(1, 2)), (y, Fraction(1, 2))])
+    d = Distribution.half_half(x, y)
+    assert d == half and hash(d) == hash(half)
+    assert d.require_probability() is d and list(d) == list(dict.fromkeys([x, y]))
+    assert Distribution.point(x) == Distribution({x: 1})
+    assert d.relabel(lambda v: ("p", v)) == half.map(lambda v: ("p", v))
+
+
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6))
 def test_distribution_normalised_weights_sum_to_one(weights):
     total = sum(weights)

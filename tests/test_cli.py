@@ -212,3 +212,33 @@ def test_json_report(files):
     code, out = run_cli("membership", str(files["conflict"]), str(files["tree"]), "--json")
     body = json.loads(out)
     assert body["verdict"] == "nonmember" and code == 1
+
+
+def test_undeclared_target_vertex_is_malformed(tmp_path):
+    p = tmp_path / "g.arena"
+    p.write_text("arena\ninit v\nvertex v eloise\nedge v v\ntarget zz\n")
+    code, out = run_cli("solve-game", str(p), "--objective", "buchi")
+    assert code == 2 and "verdict" not in out
+
+
+def test_undeclared_accepting_state_is_malformed(files, tmp_path):
+    p = tmp_path / "undeclared.aut"
+    p.write_text(files["one"].read_text().replace("accept buchi q", "accept buchi qq"))
+    assert "accept buchi qq" in p.read_text()
+    code, out = run_cli("membership", str(p), str(files["tree"]))
+    assert code == 2 and "verdict" not in out
+
+
+def test_every_reduce_output_parses(files, tmp_path):
+    from qualtree.cli import REDUCTIONS
+
+    universal = tmp_path / "universal.aut"
+    assert run_cli("reduce", "universalize", str(files["detector"]), str(universal))[0] == 0
+    for name in REDUCTIONS:
+        source = universal if name == "nonzero" else files["detector"]
+        out_path = tmp_path / f"{name}.out.aut"
+        code, _ = run_cli("reduce", name, str(source), str(out_path), "--sharp", "t")
+        assert code == 0, name
+        loaded = parse_automaton(out_path.read_text())
+        if loaded.acceptance is not None:
+            assert loaded.acceptance.target <= loaded.automaton.states

@@ -23,7 +23,6 @@ from qualtree.emptiness import (
     reachable_beliefs,
     solve_by_enumeration,
     solve_imperfect_buchi,
-    _attractor,
     _closed_tables,
     _materialize,
     _number_post,
@@ -35,7 +34,7 @@ from qualtree.emptiness import (
 )
 from qualtree.errors import ResourceLimit
 from qualtree.dist import Distribution
-from qualtree.games import MdpView, mec_decomposition
+from qualtree.games import MdpView, _attractor, mec_decomposition
 from qualtree.ordering import ckey, csorted
 from qualtree.gallery import (
     contradictory_uniformity_automaton,
@@ -499,16 +498,14 @@ def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
         n_b, n_a = len(beliefs), len(game.actions)
         ids = _number_post(game, beliefs, post)
         node = list(beliefs) + [(b, a) for b in beliefs for a in game.actions]
-        succ = [range(n_b + b * n_a, n_b + (b + 1) * n_a) for b in range(n_b)]
+        canonical = sorted(range(n_a), key=lambda a: ckey(game.actions[a]))
+        succ = [[n_b + b * n_a + a for a in canonical] for b in range(n_b)]
         succ += [list(ids[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
         pred = [[] for _ in succ]
         for v, ws in enumerate(succ):
             for w in ws:
                 pred[w].append(v)
         old_succ = {node[v]: [node[w] for w in ws] for v, ws in enumerate(succ)}
-
-        def key(w):
-            return ckey(game.actions[(w - n_b) % n_a])
 
         def owner_is_e(x):
             return isinstance(x, frozenset)
@@ -519,7 +516,7 @@ def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
         for region in regions:
             for base, for_eloise in ((goal & region, True), (set(rng.sample(sorted(region), len(region) // 4)), False)):
                 attracts = (lambda v: v < n_b) if for_eloise else (lambda v: v >= n_b)
-                order, witness = _attractor(succ, pred, region, base, attracts, key)
+                order, witness = _attractor(succ, pred, region, base, attracts)
                 old_attr, old_witness = _det_attractor(
                     {node[v] for v in region}, owner_is_e, old_succ.get,
                     {node[v] for v in base}, for_eloise)

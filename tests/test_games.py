@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from qualtree.acceptance import build_acceptance_game
 from qualtree.dist import Distribution
+from qualtree.emptiness import _full_information_arena, build_emptiness_game
 from qualtree.errors import ResourceLimit
 from qualtree.games import (
     ELOISE,
     Mdp,
     PositionalStrategy,
     StochasticArena,
+    _absorb,
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
@@ -28,7 +31,15 @@ from qualtree.games import (
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
 from qualtree.graphs import sccs
 from qualtree.markov import as_verdict, bsccs
-from qualtree.suite import random_arena, random_mdp_arena, random_target
+from qualtree.ordering import ckey, csorted
+from qualtree.suite import (
+    random_alternating_buchi,
+    random_arena,
+    random_imperfect_arena,
+    random_mdp_arena,
+    random_regular_tree,
+    random_target,
+)
 
 
 def arena(owners, edges, dist=None, initial=None):
@@ -373,3 +384,137 @@ def test_verdicts_invariant_under_reweighting():
 def test_with_initial_moves_the_start_vertex():
     g = arena({"v": "eloise", "w": "eloise"}, {"v": ("w",), "w": ("w",)})
     assert with_initial(g, "w").initial == "w"
+
+
+# The sweep that the integer core replaced, kept as a second oracle: every
+# round re-sorts the region, and pruning rescans it to a fixed point.
+
+
+def _sweep_positive_attractor(g, region, target):
+    rank = {v: 0 for v in region & target}
+    witness = {}
+    changed = True
+    while changed:
+        changed = False
+        for v in csorted(region - rank.keys()):
+            succ = g.edges[v]
+            if v in g.abelard:
+                if all(w in rank for w in succ):
+                    rank[v] = 1 + max(rank[w] for w in succ)
+                    changed = True
+            else:
+                inside = [w for w in succ if w in rank]
+                if inside:
+                    best = min(inside, key=lambda w: (rank[w], ckey(w)))
+                    rank[v] = rank[best] + 1
+                    witness[v] = best
+                    changed = True
+    return set(rank), rank, witness
+
+
+def _sweep_closure_prune(g, region):
+    region = set(region)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(region):
+            succ_in = [w for w in g.edges[v] if w in region]
+            ok = bool(succ_in) if v in g.eloise else len(succ_in) == len(g.edges[v])
+            if not ok:
+                region.discard(v)
+                changed = True
+    return region
+
+
+def _sweep_as_buchi(g, target):
+    region = set(g.vertices)
+    while True:
+        region = _sweep_closure_prune(g, region)
+        if not region:
+            return frozenset()
+        attracted, _, _ = _sweep_positive_attractor(g, region, set(target))
+        if attracted == region:
+            return frozenset(region)
+        region = attracted
+
+
+def _assert_core_matches_sweep(g, target, starts):
+    """Regions equal to the sweep's; strategies win from the given starts."""
+    region_b, strat_b = almost_sure_buchi(g, target)
+    assert region_b == _sweep_as_buchi(g, target)
+    region_r, strat_r = almost_sure_reach(g, target)
+    assert region_r == _sweep_as_buchi(_absorb(g, target), target)
+    assert set(strat_b.choice) == region_b & g.eloise
+    total_b, total_r = total_strategy(g, strat_b), total_strategy(g, strat_r)
+    for v in starts:
+        if v in region_b:
+            assert check_buchi_strategy(with_initial(g, v), target, total_b)
+        if v in region_r:
+            assert check_reach_strategy(with_initial(g, v), target, total_r)
+    return region_b, region_r
+
+
+def _targets(rng, g):
+    return [random_target(rng, g), frozenset(), g.vertices]
+
+
+def test_integer_core_matches_sweep_on_random_arenas():
+    rng = random.Random(41)
+    won = 0
+    for _ in range(150):
+        g = random_arena(rng, 8)
+        for target in _targets(rng, g):
+            region_b, _ = _assert_core_matches_sweep(g, target, csorted(g.vertices))
+            won += bool(region_b)
+    assert won > 150
+
+
+def _acceptance_arenas(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        aut, final = random_alternating_buchi(rng, max_states=4)
+        t = random_regular_tree(rng, 5, aut.alphabet)
+        for target in (final, frozenset(), aut.states):
+            game = build_acceptance_game(aut, target, t)
+            yield game.arena, game.target
+
+
+def test_integer_core_matches_sweep_on_acceptance_arenas():
+    rng = random.Random(43)
+    won = lost = 0
+    for g, target in _acceptance_arenas(47, 40):
+        starts = [g.initial] + rng.sample(csorted(g.vertices), min(4, len(g.vertices)))
+        region_b, _ = _assert_core_matches_sweep(g, target, starts)
+        won += g.initial in region_b
+        lost += g.initial not in region_b
+    assert won > 10 and lost > 10
+
+
+def _revalidated(g):
+    """The arena again, through the public constructor and its checks."""
+    return StochasticArena(g.eloise, g.abelard, g.random, g.edges, g.dist, g.initial)
+
+
+def test_trusted_builders_pass_the_public_constructor():
+    rng = random.Random(53)
+    built = []
+    for _ in range(40):
+        g = random_arena(rng, 6)
+        target = random_target(rng, g)
+        built += [
+            _absorb(g, target),
+            with_initial(g, csorted(g.vertices)[-1]),
+            buchi_to_reachability(g, target)[0],
+            fix_strategy(g, next(eloise_positional_strategies(g))).arena,
+        ]
+        game, tgt = random_imperfect_arena(rng)
+        built.append(_full_information_arena(game, tgt)[0])
+    for g, _ in _acceptance_arenas(59, 20):
+        built.append(g)
+    for _ in range(10):
+        aut, final = random_alternating_buchi(rng, max_states=3)
+        built.append(_full_information_arena(*build_emptiness_game(aut, final))[0])
+    for g in built:
+        assert _revalidated(g) == g
+    with pytest.raises(ValueError, match="unknown"):
+        with_initial(built[0], ("not", "a", "vertex"))
