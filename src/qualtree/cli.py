@@ -46,7 +46,6 @@ from qualtree.fileformat import (
     serialize_word,
 )
 from qualtree.games import (
-    GameObjective,
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
@@ -230,7 +229,6 @@ def cmd_solve_game(args) -> int:
     report = Report(f"solve-game {args.arena} --objective {args.objective}")
     arena, target = parse_arena(_read(args.arena))
     report.add_input(args.arena, serialize_arena(arena, target))
-    GameObjective(args.objective, target)
     agree = None
     if args.objective == "reach":
         region, _ = almost_sure_reach(arena, target)

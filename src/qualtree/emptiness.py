@@ -208,16 +208,14 @@ def fully_observable(g: ImperfectInfoArena) -> ImperfectInfoArena:
 # ---------------------------------------------------------------------------
 
 
-def _product_view(g: ImperfectInfoArena, s: ObservationStrategy) -> tuple[MdpView, frozenset]:
-    """Opponent-as-controller MDP over (vertex, memory) pairs."""
+def _product_view(g: ImperfectInfoArena, s: ObservationStrategy) -> MdpView:
+    """Opponent-as-controller MDP over (vertex, memory) pairs, numbered
+    breadth-first from the start pair."""
     start = (g.initial, s.init_memory)
-    states: list = []
-    moves: dict = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        v, m = queue.pop()
-        states.append((v, m))
+    pairs = [start]
+    index = {start: 0}
+    moves = []
+    for v, m in pairs:  # breadth-first: pairs grows while it is read
         o = g.obs[v]
         if (m, o) not in s.act:
             raise ValueError(f"strategy act undefined on memory {m!r}, observation {o!r}")
@@ -225,21 +223,22 @@ def _product_view(g: ImperfectInfoArena, s: ObservationStrategy) -> tuple[MdpVie
         mvs = []
         for d in g.trans[(v, act)]:
             step = set()
-            for v2 in d.support():
+            for v2 in d:
                 key = (m, g.obs[v2], act)
                 if key not in s.update:
                     raise ValueError(
                         f"strategy update undefined on memory {m!r}, "
                         f"observation {key[1]!r}, action {act!r}"
                     )
-                step.add((v2, s.update[key]))
+                pair = (v2, s.update[key])
+                j = index.get(pair)
+                if j is None:
+                    j = index[pair] = len(pairs)
+                    pairs.append(pair)
+                step.add(j)
             mvs.append(frozenset(step))
-            for st in step:
-                if st not in seen:
-                    seen.add(st)
-                    queue.append(st)
-        moves[(v, m)] = tuple(mvs)
-    return MdpView(tuple(csorted(states)), start, moves), frozenset(seen)
+        moves.append(tuple(mvs))
+    return MdpView(pairs, 0, moves)
 
 
 def check_observation_strategy(
@@ -251,9 +250,9 @@ def check_observation_strategy(
     The opponent, controlling the product MDP, refutes s exactly when some
     end component avoiding the target is reachable.
     """
-    view, _ = _product_view(g, s)
-    bad = frozenset(st for st in view.states if st[0] in target)
-    return not _positive_cobuchi_view(view, bad, view.initial)
+    view = _product_view(g, s)
+    bad = frozenset(i for i, (v, _) in enumerate(view.states) if v in target)
+    return not _positive_cobuchi_view(view, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,8 @@ def reachable_beliefs(g: ImperfectInfoArena, cap: int):
 
 
 def _belief_obs(g: ImperfectInfoArena, b: frozenset):
-    return g.obs[min(b, key=ckey)]
+    """The observation of a knowledge set: all its members share one."""
+    return g.obs[next(iter(b))]
 
 
 def _reached(root, assign: dict, post: dict) -> tuple[list, object]:
@@ -406,11 +406,12 @@ def _table_refuter(g: ImperfectInfoArena, target: frozenset, post: dict):
     def refuted(table: dict) -> bool:
         pairs = [start]
         index = {start: 0}
-        prod: dict = {}
+        prod = []
         safe = []
         for i, (v, b) in enumerate(pairs):  # breadth-first: pairs grows while read
             a = table.get(b)
             if a is None:
+                prod.append(())
                 continue
             branches = post[(b, a)]
             mvs = []
@@ -424,11 +425,10 @@ def _table_refuter(g: ImperfectInfoArena, target: frozenset, post: dict):
                         pairs.append(pair)
                     step.add(j)
                 mvs.append(frozenset(step))
-            prod[i] = tuple(mvs)
+            prod.append(tuple(mvs))
             if not in_target[v]:
                 safe.append(i)
-        view = MdpView(tuple(prod), 0, prod)
-        return bool(mec_decomposition(view, within=frozenset(safe)))
+        return bool(mec_decomposition(MdpView(pairs, 0, prod), within=frozenset(safe)))
 
     return refuted
 
@@ -601,7 +601,7 @@ def enumerate_bit_enriched(
         b, _ = m
         out = []
         for a in actions:
-            branches = sorted(post[(b, a)].items(), key=lambda kv: ckey(kv[0]))
+            branches = list(post[(b, a)].items())
             for bits in itertools.product((0, 1), repeat=len(branches)):
                 out.append((a, tuple((o, (b2, bit)) for (o, b2), bit in zip(branches, bits))))
         return out

@@ -69,13 +69,18 @@ def _token(t: str) -> str:
 
 
 def _rat(text: str) -> Fraction:
+    """A weight: a non-negative rational."""
     try:
         if "/" in text:
             n, d = text.split("/", 1)
-            return Fraction(int(n), int(d))
-        return Fraction(int(text))
+            x = Fraction(int(n), int(d))
+        else:
+            x = Fraction(int(text))
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError(f"bad rational {text!r}") from e
+    if x < 0:
+        raise FormatError(f"negative weight {text!r}")
+    return x
 
 
 def _rat_str(x: Fraction) -> str:

@@ -1,77 +1,35 @@
 """Exhaustive positional-strategy oracles for the game solvers.
 
-These are the normative reference implementations: the protagonist ranges
-over all positional strategies (sufficient on finite arenas), and each
-candidate is judged exactly by the opponent-as-controller analysis of the
-residual MDP.  Slow on purpose; the fixed-point solvers must agree with
-them on the randomized suites.
+These are the normative reference implementations, written as the
+definition of the almost-sure winning set: a vertex is won when some
+positional strategy of the protagonist (positional strategies suffice on
+finite arenas) passes the exact strategy check played from that vertex.
+Slow on purpose; the fixed-point solvers must agree with them on the
+randomized suites.
 """
 
 from __future__ import annotations
 
 from qualtree.games import (
-    Mdp,
     StochasticArena,
+    check_buchi_strategy,
+    check_reach_strategy,
     eloise_positional_strategies,
-    fix_strategy,
-    mec_decomposition,
-    view_of_mdp,
+    with_initial,
 )
-from qualtree.graphs import reachable
 
 
-def _can_reach(view, sources: set) -> set:
-    """States from which `sources` is graph-reachable (backward closure)."""
-    pred: dict = {s: set() for s in view.states}
-    for s in view.states:
-        for w in view.succ(s):
-            pred.setdefault(w, set()).add(s)
-    return reachable(sources, lambda s: pred.get(s, ()))
-
-
-def _buchi_winning_from(m: Mdp, target: frozenset) -> set:
-    """Vertices from which the committed strategy wins repeated reach a.s.,
-    i.e. from which no target-free end component is reachable."""
-    view = view_of_mdp(m)
-    safe = frozenset(view.states) - target
-    bad: set = set()
-    for comp in mec_decomposition(view, within=safe):
-        bad |= comp
-    return set(view.states) - _can_reach(view, bad)
-
-
-def _reach_winning_from(m: Mdp, target: frozenset) -> set:
-    """Vertices from which the committed strategy reaches the target a.s."""
-    view = view_of_mdp(m)
-    safe = frozenset(view.states) - target
-    bad: set = set()
-    for comp in mec_decomposition(view, within=safe):
-        bad |= comp
-    pred: dict = {s: set() for s in view.states}
-    for s in view.states:
-        if s in target:
-            continue  # avoidance paths may not cross the target
-        for w in view.succ(s):
-            pred.setdefault(w, set()).add(s)
-    losing = reachable(bad, lambda s: pred.get(s, ()) if s not in target else ())
-    return set(view.states) - (losing - target)
+def _won(g: StochasticArena, target: frozenset, check) -> frozenset:
+    strategies = list(eloise_positional_strategies(g))
+    return frozenset(
+        v for v in g.vertices
+        if any(check(with_initial(g, v), target, s) for s in strategies)
+    )
 
 
 def oracle_almost_sure_buchi(g: StochasticArena, target) -> frozenset:
-    target = frozenset(target)
-    won: set = set()
-    for s in eloise_positional_strategies(g):
-        won |= _buchi_winning_from(fix_strategy(g, s), target)
-        if len(won) == len(g.vertices):
-            break
-    return frozenset(won)
+    return _won(g, frozenset(target), check_buchi_strategy)
 
 
 def oracle_almost_sure_reach(g: StochasticArena, target) -> frozenset:
-    target = frozenset(target)
-    won: set = set(target & g.vertices)
-    for s in eloise_positional_strategies(g):
-        won |= _reach_winning_from(fix_strategy(g, s), target)
-        if len(won) == len(g.vertices):
-            break
-    return frozenset(won)
+    return _won(g, frozenset(target), check_reach_strategy)

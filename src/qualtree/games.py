@@ -24,18 +24,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from qualtree.dist import Distribution
 from qualtree.errors import ResourceLimit
 from qualtree.graphs import reachable, sccs
-from qualtree.ordering import ckey, csorted
+from qualtree.ordering import csorted
 
 ELOISE = "eloise"
 ABELARD = "abelard"
-
-REACH = "reach"
-BUCHI = "buchi"
-COBUCHI = "cobuchi"
 
 
 @dataclass(frozen=True)
@@ -97,16 +94,6 @@ class StochasticArena:
 
 
 @dataclass(frozen=True)
-class GameObjective:
-    kind: str  # REACH, BUCHI or COBUCHI
-    target: frozenset
-
-    def __post_init__(self):
-        if self.kind not in (REACH, BUCHI, COBUCHI):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class PositionalStrategy:
     owner: str  # ELOISE or ABELARD
     choice: dict  # owner's vertex -> chosen successor
@@ -125,10 +112,6 @@ class Mdp:
     @property
     def controller(self) -> frozenset:
         return self.arena.eloise
-
-    @property
-    def initial(self):
-        return self.arena.initial
 
 
 def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
@@ -163,56 +146,63 @@ def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
 
 
 # ---------------------------------------------------------------------------
-# Generic MDP view: controller states with a finite set of moves, each move the
-# support of a distribution.  End components and the qualitative verdicts built
-# on them depend only on supports.  Products built elsewhere (strategy checks,
-# the emptiness search) reuse this layer.
+# Generic MDP view: controller states numbered once, with a finite set of moves,
+# each move the support of a distribution.  End components and the qualitative
+# verdicts built on them depend only on supports.  Products built elsewhere
+# (strategy checks, the emptiness search) reuse this layer.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MdpView:
-    states: tuple
-    initial: object
-    moves: dict  # state -> tuple of support frozensets (possibly empty after restriction)
+    states: Sequence  # id -> state name
+    initial: int
+    moves: Sequence  # id -> tuple of support frozensets of ids (empty: no move)
 
-    def succ(self, s):
-        return set().union(*self.moves.get(s, ()))
+    def succ(self, s: int) -> set:
+        return set().union(*self.moves[s])
 
 
 def view_of_mdp(m: Mdp) -> MdpView:
+    """The MDP numbered in `g.edges` order.  A random vertex has one move,
+    its edges, which are its support."""
     g = m.arena
-    moves = {}
-    for v in g.vertices:
+    verts = tuple(g.edges)
+    vid = {v: i for i, v in enumerate(verts)}
+    moves = []
+    for v in verts:
+        succ = [vid[w] for w in g.edges[v]]
         if v in g.random:
-            moves[v] = (g.dist[v].support(),)
+            moves.append((frozenset(succ),))
         else:
-            moves[v] = tuple(frozenset((w,)) for w in g.edges[v])
-    return MdpView(tuple(csorted(g.vertices)), g.initial, moves)
+            moves.append(tuple(frozenset((w,)) for w in succ))
+    return MdpView(verts, vid[g.initial], moves)
+
+
+def _ids(view: MdpView, states) -> frozenset:
+    return frozenset(i for i, s in enumerate(view.states) if s in states)
 
 
 def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[frozenset]:
-    """Maximal end components: closed, strongly connected, one staying move per state.
+    """Maximal end components, as id sets: closed, strongly connected, one
+    staying move per state.
 
-    With ``within`` the decomposition is taken in the sub-MDP induced on
-    that state set (moves whose whole support stays inside).
+    With ``within`` (ids) the decomposition is taken in the sub-MDP induced
+    on that state set (moves whose whole support stays inside).
     """
-    universe = frozenset(view.states) if within is None else frozenset(within)
+    universe = range(len(view.states)) if within is None else within
     out: list[frozenset] = []
-    work = [universe]
+    work = [frozenset(universe)]
     while work:
         cand = work.pop()
-        staying = {
-            s: [d for d in view.moves.get(s, ()) if d <= cand]
-            for s in cand
-        }
+        staying = {s: [d for d in view.moves[s] if d <= cand] for s in cand}
         dead = {s for s in cand if not staying[s]}
         if dead:
             rest = cand - dead
             if rest:
                 work.append(rest)
             continue
-        verts = csorted(cand)
+        verts = sorted(cand)
         ids = {s: i for i, s in enumerate(verts)}
         adj = [sorted({ids[x] for d in staying[s] for x in d}) for s in verts]
         comps = sccs(adj)
@@ -220,14 +210,15 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
             out.append(cand)
         else:
             work.extend(frozenset(verts[i] for i in c) for c in comps)
-    return sorted(out, key=ckey)
+    return out
 
 
 def max_end_components(m: Mdp) -> list[tuple[frozenset, frozenset]]:
     """MECs of an arena MDP, each with its retained edge set."""
     view = view_of_mdp(m)
     result = []
-    for comp in mec_decomposition(view):
+    for ids in mec_decomposition(view):
+        comp = frozenset(view.states[i] for i in ids)
         kept = set()
         for v in comp:
             if v in m.arena.random:
@@ -238,44 +229,45 @@ def max_end_components(m: Mdp) -> list[tuple[frozenset, frozenset]]:
     return result
 
 
-def _positive_buchi_view(view: MdpView, target: frozenset, start) -> bool:
-    reach = reachable([start], view.succ)
+def _positive_buchi_view(view: MdpView, target: frozenset) -> bool:
+    reach = reachable([view.initial], view.succ)
     return any(c & target and c & reach for c in mec_decomposition(view))
 
 
-def _positive_cobuchi_view(view: MdpView, target: frozenset, start) -> bool:
+def _positive_cobuchi_view(view: MdpView, target: frozenset) -> bool:
     """Can the controller make "eventually avoid target forever" positive?
 
     Yes iff an end component inside the complement of the target is
     reachable; the path there may still cross the target, so plain graph
     reachability is the right notion.
     """
-    safe = frozenset(view.states) - target
-    reach = reachable([start], view.succ)
+    safe = frozenset(range(len(view.states))) - target
+    reach = reachable([view.initial], view.succ)
     return any(c & reach for c in mec_decomposition(view, within=safe))
 
 
-def _positive_avoid_view(view: MdpView, target: frozenset, start) -> bool:
+def _positive_avoid_view(view: MdpView, target: frozenset) -> bool:
     """Positive probability of never visiting the target at all.
 
     Unlike the co-Buchi case the approach path must itself avoid the
     target, so reachability is restricted to target-free states.
     """
-    if start in target:
+    if view.initial in target:
         return False
-    safe = frozenset(view.states) - target
+    safe = frozenset(range(len(view.states))) - target
 
     def succ_safe(s):
         return {w for w in view.succ(s) if w in safe}
 
-    reach = reachable([start], succ_safe)
+    reach = reachable([view.initial], succ_safe)
     return any(c & reach for c in mec_decomposition(view, within=safe))
 
 
 def controller_positive_buchi(m: Mdp, target: frozenset) -> bool:
     """True iff the controller can visit the target infinitely often with
     positive probability (some reachable MEC meets the target)."""
-    return _positive_buchi_view(view_of_mdp(m), frozenset(target), m.initial)
+    view = view_of_mdp(m)
+    return _positive_buchi_view(view, _ids(view, target))
 
 
 def controller_positive_cobuchi(m: Mdp, target: frozenset) -> bool:
@@ -286,13 +278,15 @@ def controller_positive_cobuchi(m: Mdp, target: frozenset) -> bool:
     of the full MDP that merely meets the target is not enough evidence
     either way, hence the restricted decomposition.
     """
-    return _positive_cobuchi_view(view_of_mdp(m), frozenset(target), m.initial)
+    view = view_of_mdp(m)
+    return _positive_cobuchi_view(view, _ids(view, target))
 
 
 def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
     """True iff the controller can avoid the target forever with positive
     probability (safety, not just co-Buchi)."""
-    return _positive_avoid_view(view_of_mdp(m), frozenset(target), m.initial)
+    view = view_of_mdp(m)
+    return _positive_avoid_view(view, _ids(view, target))
 
 
 # ---------------------------------------------------------------------------

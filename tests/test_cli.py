@@ -186,6 +186,25 @@ def test_malformed_input_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("word-membership", "kind prob-word\nalphabet a s\nstates q r\ninitial q\naccept buchi q\n"
+                        "ptrans q a -1/2 q 3/2 r\nptrans q s 1 q\nptrans r a 1 r\nptrans r s 1 r\n"),
+    ("ptree-membership", "kind prob-tree\nalphabet a\nstates q\ninitial q\naccept buchi q\n"
+                         "pttrans q a -1 q q 2 q q\n"),
+    ("solve-game", "arena\ninit v\nvertex v random\nvertex w eloise\n"
+                   "edge v w -1/2\nedge v v 3/2\nedge w w\ntarget w\n"),
+], ids=["ptrans", "pttrans", "edge"])
+def test_negative_weight_is_malformed(files, tmp_path, command, text):
+    p = tmp_path / "negative.in"
+    p.write_text(text)
+    if command == "solve-game":
+        argv = [str(p), "--objective", "buchi"]
+    else:
+        argv = [str(p), str(files["word" if command == "word-membership" else "tree"])]
+    code, out = run_cli(command, *argv)
+    assert code == 2 and "verdict" not in out
+
+
 def test_simulate_word_and_tree(files):
     code, out = run_cli("simulate", str(files["tree"]), "--seed", "42", "--horizon", "4")
     assert code == 0 and "samples: a a a a a" in out

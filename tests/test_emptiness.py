@@ -333,12 +333,21 @@ def test_resource_guard_is_a_distinct_outcome():
 
 
 def test_belief_exploration_is_observation_pure():
-    aut, final = contradictory_uniformity_automaton()
-    game, _ = build_emptiness_game(aut, final)
-    beliefs, post = reachable_beliefs(game, cap=10_000)
-    assert beliefs[0] == initial_belief(game)
-    for b in beliefs:
-        assert len({game.obs[v] for v in b}) == 1
+    """Every knowledge set lies in one observation class, so any member
+    names its observation, and successors come in canonical observation
+    order."""
+    games = [build_emptiness_game(*contradictory_uniformity_automaton())[0]]
+    rng = random.Random(23)
+    for _ in range(40):
+        games.append(random_imperfect_arena(rng)[0])
+        games.append(build_emptiness_game(*random_alternating_buchi(rng, max_states=4))[0])
+    for game in games:
+        beliefs, post = reachable_beliefs(game, cap=10_000)
+        assert beliefs[0] == initial_belief(game)
+        for b in beliefs:
+            assert len({game.obs[v] for v in b}) == 1
+        for branches in post.values():
+            assert list(branches) == csorted(branches)
 
 
 def test_full_information_refutation_needs_no_knowledge_sets():
@@ -381,8 +390,14 @@ def _old_partial_refuted(g, target, assign, post):
                     seen.add(st)
                     queue.append(st)
         moves[(v, b)] = tuple(mvs)
-    view = MdpView(tuple(csorted(states)), start, moves)
-    safe = frozenset(st for st in states if st[0] not in target)
+    # every seen pair gets an id; pairs of unassigned beliefs get no moves
+    pairs = csorted(seen)
+    ids = {st: i for i, st in enumerate(pairs)}
+    view = MdpView(
+        pairs, ids[start],
+        [tuple(frozenset(ids[x] for x in d) for d in moves.get(st, ())) for st in pairs],
+    )
+    safe = frozenset(ids[st] for st in states if st[0] not in target)
     return bool(mec_decomposition(view, within=safe))
 
 

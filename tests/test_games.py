@@ -21,7 +21,9 @@ from qualtree.games import (
     buchi_to_reachability,
     check_buchi_strategy,
     check_reach_strategy,
+    controller_positive_avoid,
     controller_positive_buchi,
+    controller_positive_cobuchi,
     eloise_positional_strategies,
     fix_strategy,
     max_end_components,
@@ -248,6 +250,33 @@ def test_controller_positive_buchi_matches_enumeration():
         m = Mdp(random_mdp_arena(rng, 6))
         target = random_target(rng, m.arena)
         assert controller_positive_buchi(m, target) == _enumerate_controller_positive_buchi(m, target)
+
+
+def _renumbered(g, rng):
+    """The arena again, through the public constructor, with its edges
+    inserted in shuffled order: the solvers number vertices in that order."""
+    order = csorted(g.vertices)
+    rng.shuffle(order)
+    return StochasticArena(g.eloise, g.abelard, g.random,
+                           {v: g.edges[v] for v in order}, g.dist, g.initial)
+
+
+def test_verdicts_do_not_depend_on_the_numbering():
+    rng = random.Random(61)
+    for _ in range(60):
+        g = random_arena(rng, 7)
+        target = random_target(rng, g)
+        g2 = _renumbered(g, rng)
+        for solve in (almost_sure_buchi, almost_sure_reach,
+                      oracle_almost_sure_buchi, oracle_almost_sure_reach):
+            assert solve(g2, target) == solve(g, target)
+        m = Mdp(random_mdp_arena(rng, 6))
+        target = random_target(rng, m.arena)
+        m2 = Mdp(_renumbered(m.arena, rng))
+        for positive in (controller_positive_buchi, controller_positive_cobuchi,
+                         controller_positive_avoid):
+            assert positive(m2, target) == positive(m, target)
+        assert set(max_end_components(m2)) == set(max_end_components(m))
 
 
 def test_almost_sure_reach_contains_target_initial():
