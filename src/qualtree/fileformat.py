@@ -142,6 +142,8 @@ def parse_automaton(text: str) -> LoadedAutomaton:
         elif head == "states":
             states = rest
         elif head == "initial":
+            if len(rest) != 1:
+                raise FormatError(f"initial line needs 1 token: {' '.join(line)}")
             (initial,) = rest
         elif head == "eloise":
             eloise.update(rest)

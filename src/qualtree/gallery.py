@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from qualtree.automata import Alphabet, AlternatingTreeAutomaton
-from qualtree.trees import RegularTree, UltimatelyPeriodicWord, lasso, tree_from_word
+from qualtree.trees import RegularTree, lasso, tree_from_word
 
 
 def constant_tree(symbol: str) -> RegularTree:
@@ -59,7 +59,3 @@ def one_state_acceptor(symbol: str = "a") -> tuple[AlternatingTreeAutomaton, fro
         abelard=frozenset(),
     )
     return aut, frozenset({"q"})
-
-
-def alternating_word(a: str = "a", b: str = "b") -> UltimatelyPeriodicWord:
-    return lasso((), (a, b))

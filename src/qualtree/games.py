@@ -213,25 +213,12 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
     return out
 
 
-def max_end_components(m: Mdp) -> list[tuple[frozenset, frozenset]]:
-    """MECs of an arena MDP, each with its retained edge set."""
-    view = view_of_mdp(m)
-    result = []
-    for ids in mec_decomposition(view):
-        comp = frozenset(view.states[i] for i in ids)
-        kept = set()
-        for v in comp:
-            if v in m.arena.random:
-                kept |= {(v, w) for w in m.arena.edges[v]}
-            else:
-                kept |= {(v, w) for w in m.arena.edges[v] if w in comp}
-        result.append((comp, frozenset(kept)))
-    return result
-
-
 def _positive_buchi_view(view: MdpView, target: frozenset) -> bool:
-    reach = reachable([view.initial], view.succ)
-    return any(c & target and c & reach for c in mec_decomposition(view))
+    """Some reachable end component meets the target.  The reachable part
+    is closed under every move, so its end components are those of the
+    whole MDP that it meets."""
+    reach = frozenset(reachable([view.initial], view.succ))
+    return any(c & target for c in mec_decomposition(view, within=reach))
 
 
 def _positive_cobuchi_view(view: MdpView, target: frozenset) -> bool:
@@ -448,41 +435,6 @@ def eloise_positional_strategies(g: StochasticArena):
         return
     for combo in itertools.product(*(g.edges[v] for v in vs)):
         yield PositionalStrategy(ELOISE, dict(zip(vs, combo)))
-
-
-def abelard_positional_strategies(g: StochasticArena):
-    """All positional strategies for the opponent, in canonical order."""
-    vs = csorted(g.abelard)
-    if not vs:
-        yield PositionalStrategy(ABELARD, {})
-        return
-    for combo in itertools.product(*(g.edges[v] for v in vs)):
-        yield PositionalStrategy(ABELARD, dict(zip(vs, combo)))
-
-
-def as_markov_chain(m: Mdp, marked):
-    """A choice-free MDP is a Markov chain."""
-    from qualtree.markov import MarkovChain
-
-    g = m.arena
-    if g.eloise:
-        raise ValueError("the controller still has choices to make")
-    return MarkovChain(
-        tuple(csorted(g.vertices)), g.initial, dict(g.dist), frozenset(marked)
-    )
-
-
-def total_strategy(g: StochasticArena, s: PositionalStrategy) -> PositionalStrategy:
-    """Extend a partial strategy to every owned vertex (first edge elsewhere).
-
-    Harmless for strategies produced by the solvers: from inside the
-    winning region the play never visits the filled-in vertices.
-    """
-    owned = g.eloise if s.owner == ELOISE else g.abelard
-    choice = dict(s.choice)
-    for v in owned:
-        choice.setdefault(v, g.edges[v][0])
-    return PositionalStrategy(s.owner, choice)
 
 
 def almost_sure_cobuchi(

@@ -1,11 +1,14 @@
 """Exact qualitative analysis of finite Markov chains.
 
-Verdicts for the repeated-visit conditions reduce to bottom strongly
-connected components: a finite chain enters some BSCC with probability 1
-and then visits every state of it infinitely often.  The product chains of
-an automaton with a lasso word or a regular tree are explored from their
-initial state, so they hold only the states a run can reach.  Finite-word
-acceptance probabilities are computed by exact forward propagation.
+An almost-sure verdict for a repeated-visit condition depends only on the
+chain's support graph: a finite chain enters some bottom strongly connected
+component with probability 1 and then visits every state of it infinitely
+often.  So the product chains of an automaton with a lasso word or a
+regular tree carry no weights.  They are explored from their initial state,
+which gets id 0; the other states are numbered in the order they are found,
+and each keeps the ids of its row's support and a marked flag.  Exact
+weights stay where a number is the answer: finite-word acceptance
+probabilities are computed by exact forward propagation.
 """
 
 from __future__ import annotations
@@ -19,66 +22,63 @@ from qualtree.automata import (
     ProbTreeAutomaton,
     ProbWordAutomaton,
 )
-from qualtree.dist import Distribution
 from qualtree.graphs import sccs
-from qualtree.ordering import ckey
 from qualtree.trees import RegularTree, UltimatelyPeriodicWord
 
 
 @dataclass(frozen=True)
-class MarkovChain:
-    """A finite chain with exact weights and a marked set of states.
+class Chain:
+    """Support graph of a finite chain, numbered from its initial state.
 
-    Chains built by ``word_chain`` and ``tree_chain`` are explored from
-    ``initial``: ``states`` holds only the reachable states, in canonical
-    order, and ``trans`` and ``marked`` are restricted to them.
+    ``states[i]`` names state ``i``.  State 0 is the initial state and the
+    others follow in the order exploration found them, so every state is
+    reachable.  ``succ[i]`` lists the ids in the support of state ``i``'s
+    row, and ``marked[i]`` tells whether state ``i`` is marked.
     """
 
-    states: tuple
-    initial: object
-    trans: dict  # state -> Distribution, total on reachable states
-    marked: frozenset
-
-    def successors(self, s):
-        return self.trans[s].support()
+    states: list
+    succ: list
+    marked: list
 
 
-def bsccs(m: MarkovChain) -> list[frozenset]:
-    """Bottom SCCs reachable from the initial state, canonically ordered."""
-    order = [m.initial]  # states reachable from the initial one, by id
-    ids = {m.initial: 0}
-    adj = []
-    for s in order:  # breadth-first: order grows while it is read
-        row = []
-        for x in m.successors(s):
+def explore(start, row, is_marked) -> Chain:
+    """The chain of the states reachable from ``start``; ``row(s)`` lists
+    the successors of ``s``."""
+    states = [start]
+    ids = {start: 0}
+    succ = []
+    for s in states:  # breadth-first: states grows while it is read
+        out = []
+        for x in row(s):
             j = ids.get(x)
             if j is None:
-                j = ids[x] = len(order)
-                order.append(x)
-            row.append(j)
-        adj.append(row)
-    comps = sccs(adj)
-    comp_of = [0] * len(order)
+                j = ids[x] = len(states)
+                states.append(x)
+            out.append(j)
+        succ.append(out)
+    return Chain(states, succ, [is_marked(s) for s in states])
+
+
+def bsccs(m: Chain) -> list[list[int]]:
+    """Bottom SCCs of the chain, as lists of ids, in no particular order."""
+    comps = sccs(m.succ)
+    comp_of = [0] * len(m.states)
     for c, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = c
-    out = [
-        frozenset(order[v] for v in comp)
-        for c, comp in enumerate(comps)
-        if all(comp_of[w] == c for v in comp for w in adj[v])
-    ]
-    # Components are disjoint, so their canonical (ckey) order is that of
-    # their least states: no component's key needs to be sorted.
-    return sorted(out, key=lambda c: min(map(ckey, c))) if len(out) > 1 else out
+    succ = m.succ
+    return [comp for c, comp in enumerate(comps)
+            if all(comp_of[w] == c for v in comp for w in succ[v])]
 
 
-def as_verdict(m: MarkovChain, kind: str) -> bool:
+def as_verdict(m: Chain, kind: str) -> bool:
     """Almost-sure verdict for the marked set under buchi or cobuchi reading."""
     bottoms = bsccs(m)
+    marked = m.marked
     if kind == BUCHI:
-        return all(c & m.marked for c in bottoms)
+        return all(any(marked[v] for v in c) for c in bottoms)
     if kind == COBUCHI:
-        return not any(c & m.marked for c in bottoms)
+        return not any(marked[v] for c in bottoms for v in c)
     raise ValueError(f"unknown condition kind {kind!r}")
 
 
@@ -94,38 +94,22 @@ def acceptance_probability(a: ProbWordAutomaton, final: frozenset, u: tuple) -> 
     return sum((p for q, p in vec.items() if q in final), Fraction(0))
 
 
-def _explore(start, row) -> dict:
-    """Transition rows of the states reachable from ``start``; ``row(s)``
-    returns the successor weights of ``s`` as a dict."""
-    trans: dict = {}
-    todo = [start]
-    while todo:
-        s = todo.pop()
-        if s not in trans:
-            weights = row(s)
-            trans[s] = Distribution._trusted(weights)
-            todo.extend(x for x in weights if x not in trans)
-    return trans
-
-
-def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> MarkovChain:
-    """The finite quotient of the run chain over w, indexed by lasso position."""
+def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> Chain:
+    """The run chain over w; its states are (automaton state, lasso position)."""
     k, n = len(w.prefix), len(w)
-    rows: dict = {}  # (state, symbol) -> weighted successors
+    symbols = w.take(n)
+    rows: dict = {}  # (state, symbol) -> support
 
     def row(s):
         q, i = s
-        key = (q, w.at(i))
-        succ = rows.get(key)
-        if succ is None:
-            succ = rows[key] = a.dist(*key).items()
+        key = (q, symbols[i])
+        targets = rows.get(key)
+        if targets is None:
+            targets = rows[key] = tuple(a.dist(*key))
         j = i + 1 if i + 1 < n else k
-        return {(q2, j): p for q2, p in succ}
+        return [(q2, j) for q2 in targets]
 
-    trans = _explore((a.initial, 0), row)
-    states = tuple(sorted(trans))
-    marked = frozenset(s for s in states if s[0] in final)
-    return MarkovChain(states, (a.initial, 0), trans, marked)
+    return explore((a.initial, 0), row, lambda s: s[0] in final)
 
 
 def lasso_membership_word(
@@ -134,34 +118,30 @@ def lasso_membership_word(
     return as_verdict(word_chain(a, final, w), kind)
 
 
-def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> MarkovChain:
+def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> Chain:
     """Run chain of a probabilistic tree automaton over a regular tree.
 
-    States are (automaton state, tree node), explored from (initial, root);
-    each split target contributes half its weight to each child, with like
-    terms merged.
+    States are (automaton state, tree node), explored from (initial, root).
+    A split target (q0, q1) at node n leads to (q0, succ0[n]) and to
+    (q1, succ1[n]).
     """
-    halves: dict = {}  # (state, symbol) -> split targets with half weights
+    splits: dict = {}  # (state, symbol) -> (left targets, right targets, both)
 
     def row(s):
         q, n = s
         key = (q, t.label[n])
-        split = halves.get(key)
+        split = splits.get(key)
         if split is None:
-            split = halves[key] = [(pair, w / 2) for pair, w in a.dist(*key).items()]
+            pairs = tuple(a.dist(*key))
+            left = dict.fromkeys(q0 for q0, _ in pairs)
+            right = dict.fromkeys(q1 for _, q1 in pairs)
+            split = splits[key] = (tuple(left), tuple(right), tuple(left | right))
         c0, c1 = t.succ0[n], t.succ1[n]
-        acc: dict = {}
-        for (q0, q1), half in split:
-            for tgt in ((q0, c0), (q1, c1)):
-                acc[tgt] = acc[tgt] + half if tgt in acc else half
-        return acc
+        if c0 == c1:
+            return [(x, c0) for x in split[2]]
+        return [(x, c0) for x in split[0]] + [(x, c1) for x in split[1]]
 
-    trans = _explore((a.initial, t.root), row)
-    qrank = {q: i for i, q in enumerate(sorted(a.states))}
-    nrank = {n: i for i, n in enumerate(t.nodes)}
-    states = tuple(sorted(trans, key=lambda s: (qrank[s[0]], nrank[s[1]])))
-    marked = frozenset(s for s in states if s[0] in final)
-    return MarkovChain(states, (a.initial, t.root), trans, marked)
+    return explore((a.initial, t.root), row, lambda s: s[0] in final)
 
 
 def prob_tree_membership(

@@ -23,11 +23,7 @@ from qualtree.emptiness import build_emptiness_game, fully_observable, solve_imp
 from qualtree.gallery import contradictory_uniformity_automaton
 from qualtree.games import almost_sure_buchi, almost_sure_reach, buchi_to_reachability
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
-from qualtree.markov import (
-    acceptance_probability,
-    lasso_membership_word,
-    tree_chain,
-)
+from qualtree.markov import acceptance_probability, lasso_membership_word
 from qualtree.reductions import (
     build_nonzero_arena,
     lift_diagonal,
@@ -46,6 +42,7 @@ from qualtree.suite import (
     random_tree_automaton,
 )
 from qualtree.trees import lasso, sampled_branch_lasso, tree_from_word
+from weighted_chains import weighted_tree_chain
 
 AB = Alphabet(("a", "b"))
 SEP = "s"
@@ -150,7 +147,7 @@ def test_criterion_5_lift_chains_equal():
         a = random_simple_pwa(rng, 4, AB)
         final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
         t = random_regular_tree(rng, 4, AB)
-        if tree_chain(lift_diagonal(a), final, t) != tree_chain(lift_swap(a), final, t):
+        if weighted_tree_chain(lift_diagonal(a), final, t) != weighted_tree_chain(lift_swap(a), final, t):
             ok = False
             break
     criterion(5, "diagonal and crossed lifts induce equal product chains", ok, "100 pairs, exact")
@@ -247,7 +244,8 @@ def test_criterion_10_reproducibility_and_exactness():
     code2, out2 = run()
     deterministic = code1 == code2 == 0 and out1 == out2
 
-    # exactness: floats are rejected outright, verdict-path weights are rational
+    # exactness: floats are rejected outright; the weights that remain (the
+    # lift's rows and the weighted product chain over a tree) are rational
     try:
         Distribution({"x": 0.5, "y": 0.5})
         rejects_floats = False
@@ -255,9 +253,13 @@ def test_criterion_10_reproducibility_and_exactness():
         rejects_floats = True
     a = random_simple_pwa(random.Random(0), 3, AB)
     t = random_regular_tree(random.Random(1), 3, AB)
-    chain = tree_chain(lift_swap(a), frozenset({"q0"}), t)
+    lifted = lift_swap(a)
+    chain = weighted_tree_chain(lifted, frozenset({"q0"}), t)
     rational = all(
-        isinstance(p, Fraction) for d in chain.trans.values() for _, p in d.items()
+        isinstance(p, Fraction)
+        for rows in (lifted.delta.values(), chain.trans.values())
+        for d in rows
+        for _, p in d.items()
     )
     criterion(10, "seeded reruns are byte-identical and verdict paths are exact",
               deterministic and rejects_floats and rational)

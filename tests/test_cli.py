@@ -205,6 +205,15 @@ def test_negative_weight_is_malformed(files, tmp_path, command, text):
     assert code == 2 and "verdict" not in out
 
 
+@pytest.mark.parametrize("line", ["initial", "initial q r"], ids=["no-state", "two-states"])
+def test_malformed_initial_line(files, tmp_path, line):
+    p = tmp_path / "initial.aut"
+    p.write_text(f"kind prob-word\nalphabet a s\nstates q r\n{line}\naccept buchi q\n"
+                 "ptrans q a 1 q\nptrans q s 1 q\nptrans r a 1 r\nptrans r s 1 r\n")
+    code, out = run_cli("word-membership", str(p), str(files["word"]))
+    assert code == 2 and "verdict" not in out
+
+
 def test_simulate_word_and_tree(files):
     code, out = run_cli("simulate", str(files["tree"]), "--seed", "42", "--horizon", "4")
     assert code == 0 and "samples: a a a a a" in out

@@ -14,10 +14,10 @@ from qualtree.games import (
     PositionalStrategy,
     StochasticArena,
     _absorb,
+    _positive_buchi_view,
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
-    as_markov_chain,
     buchi_to_reachability,
     check_buchi_strategy,
     check_reach_strategy,
@@ -26,13 +26,13 @@ from qualtree.games import (
     controller_positive_cobuchi,
     eloise_positional_strategies,
     fix_strategy,
-    max_end_components,
-    total_strategy,
+    mec_decomposition,
+    view_of_mdp,
     with_initial,
 )
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
-from qualtree.graphs import sccs
-from qualtree.markov import as_verdict, bsccs
+from qualtree.graphs import reachable, sccs
+from qualtree.markov import as_verdict
 from qualtree.ordering import ckey, csorted
 from qualtree.suite import (
     random_alternating_buchi,
@@ -42,6 +42,36 @@ from qualtree.suite import (
     random_regular_tree,
     random_target,
 )
+from weighted_chains import as_markov_chain, named_bottoms, support_chain
+
+
+def max_end_components(m: Mdp) -> list[tuple[frozenset, frozenset]]:
+    """MECs of an arena MDP by name, each with its retained edge set."""
+    view = view_of_mdp(m)
+    result = []
+    for ids in mec_decomposition(view):
+        comp = frozenset(view.states[i] for i in ids)
+        kept = set()
+        for v in comp:
+            if v in m.arena.random:
+                kept |= {(v, w) for w in m.arena.edges[v]}
+            else:
+                kept |= {(v, w) for w in m.arena.edges[v] if w in comp}
+        result.append((comp, frozenset(kept)))
+    return result
+
+
+def total_strategy(g: StochasticArena, s: PositionalStrategy) -> PositionalStrategy:
+    """Extend a partial strategy to every owned vertex (first edge elsewhere).
+
+    Harmless for strategies produced by the solvers: from inside the
+    winning region the play never visits the filled-in vertices.
+    """
+    owned = g.eloise if s.owner == ELOISE else g.abelard
+    choice = dict(s.choice)
+    for v in owned:
+        choice.setdefault(v, g.edges[v][0])
+    return PositionalStrategy(s.owner, choice)
 
 
 def arena(owners, edges, dist=None, initial=None):
@@ -104,7 +134,7 @@ def test_fixing_both_players_gives_a_simulatable_chain():
             s_a,
         )
         chain = as_markov_chain(m2, target)
-        verdict = as_verdict(chain, "buchi")
+        verdict = as_verdict(support_chain(chain), "buchi")
         # play simulation frequency agrees with the exact verdict
         hits = 0
         plays, horizon, burn = 300, 120, 60
@@ -148,7 +178,7 @@ def test_mecs_of_pure_chain_coincide_with_bsccs():
             g.initial,
         )
         chain = as_markov_chain(Mdp(pure), frozenset())
-        chain_bottoms = set(bsccs(chain))
+        chain_bottoms = named_bottoms(support_chain(chain))
         reachable_mecs = {
             comp
             for comp, _ in max_end_components(Mdp(pure))
@@ -239,7 +269,7 @@ def _enumerate_controller_positive_buchi(m: Mdp, target) -> bool:
     g = m.arena
     for s in eloise_positional_strategies(g):
         chain = as_markov_chain(fix_strategy(g, s), target)
-        if any(c & target for c in bsccs(chain)):
+        if any(c & target for c in named_bottoms(support_chain(chain))):
             return True
     return False
 
@@ -250,6 +280,29 @@ def test_controller_positive_buchi_matches_enumeration():
         m = Mdp(random_mdp_arena(rng, 6))
         target = random_target(rng, m.arena)
         assert controller_positive_buchi(m, target) == _enumerate_controller_positive_buchi(m, target)
+
+
+def _whole_mdp_positive_buchi(view, target) -> bool:
+    """Decompose the whole MDP, then keep the end components the initial
+    state reaches: the oracle for the decomposition of the reachable part."""
+    reach = reachable([view.initial], view.succ)
+    return any(c & target and c & reach for c in mec_decomposition(view))
+
+
+def test_positive_buchi_on_reachable_part_matches_whole_mdp():
+    rng = random.Random(71)
+    verdicts, partial = set(), 0
+    for _ in range(200):
+        g = random_arena(rng, 8)
+        m = fix_strategy(g, next(eloise_positional_strategies(g)))
+        for view in (view_of_mdp(m), view_of_mdp(Mdp(random_mdp_arena(rng, 8)))):
+            partial += len(reachable([view.initial], view.succ)) < len(view.states)
+            n = len(view.states)
+            for target in (frozenset(rng.sample(range(n), rng.randint(0, n))), frozenset(range(n))):
+                verdict = _positive_buchi_view(view, target)
+                assert verdict == _whole_mdp_positive_buchi(view, target)
+                verdicts.add(verdict)
+    assert verdicts == {True, False} and partial > 100
 
 
 def _renumbered(g, rng):
@@ -328,7 +381,7 @@ def test_check_buchi_strategy_reduces_to_chain_verdict_without_opponent():
     )
     s = PositionalStrategy(ELOISE, {})
     chain = as_markov_chain(fix_strategy(g, s), frozenset({"x"}))
-    assert check_buchi_strategy(g, frozenset({"x"}), s) == as_verdict(chain, "buchi")
+    assert check_buchi_strategy(g, frozenset({"x"}), s) == as_verdict(support_chain(chain), "buchi")
 
 
 def test_check_buchi_strategy_rejects_target_free_cycle():

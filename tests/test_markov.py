@@ -5,11 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qualtree.automata import Alphabet
+from qualtree.automata import Alphabet, ProbTreeAutomaton
 from qualtree.dist import Distribution
-from qualtree.graphs import reachable
 from qualtree.markov import (
-    MarkovChain,
     acceptance_probability,
     as_verdict,
     bsccs,
@@ -18,22 +16,33 @@ from qualtree.markov import (
     tree_chain,
     word_chain,
 )
-from qualtree.ordering import ckey
 from qualtree.reductions import lift_diagonal, lift_swap, sharps_automaton
 from qualtree.suite import random_lasso_word, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
+from weighted_chains import (
+    MarkovChain,
+    full_tree_chain,
+    full_word_chain,
+    named,
+    named_bottoms,
+    oracle_bottoms,
+    reachable_part,
+    support_chain,
+    weighted_named,
+    weighted_tree_chain,
+)
 
 AB = Alphabet(("a",))
 
 
 def chain(trans, initial, marked=()):
-    states = tuple(sorted(trans))
-    return MarkovChain(states, initial, trans, frozenset(marked))
+    """The support chain of the weighted rows ``trans``."""
+    return support_chain(MarkovChain(tuple(sorted(trans)), initial, trans, frozenset(marked)))
 
 
 def test_bscc_single_absorbing():
     m = chain({"x": Distribution.point("x")}, "x")
-    assert bsccs(m) == [frozenset({"x"})]
+    assert named_bottoms(m) == {frozenset({"x"})}
 
 
 def test_bscc_two_absorbing_halves():
@@ -45,7 +54,8 @@ def test_bscc_two_absorbing_halves():
         },
         "s",
     )
-    assert bsccs(m) == [frozenset({"x"}), frozenset({"y"})]
+    assert len(bsccs(m)) == 2
+    assert named_bottoms(m) == {frozenset({"x"}), frozenset({"y"})}
 
 
 def test_bscc_ignores_unreachable_component():
@@ -53,7 +63,8 @@ def test_bscc_ignores_unreachable_component():
         {"s": Distribution.point("s"), "z": Distribution.point("z")},
         "s",
     )
-    assert bsccs(m) == [frozenset({"s"})]
+    assert m.states == ["s"]
+    assert named_bottoms(m) == {frozenset({"s"})}
 
 
 def test_bscc_of_detector_product_is_absorbing_cycle():
@@ -61,7 +72,7 @@ def test_bscc_of_detector_product_is_absorbing_cycle():
     det, _ = sharps_automaton(AB, "s")
     w = lasso((), ("a", "s"))
     m = word_chain(det, frozenset({"p1"}), w)
-    assert bsccs(m) == [frozenset({("p2", 0), ("p2", 1)})]
+    assert named_bottoms(m) == {frozenset({("p2", 0), ("p2", 1)})}
 
 
 def test_verdict_on_absorbing_states():
@@ -101,18 +112,17 @@ def _chain_with_bottoms(rng):
     for s in transient:
         support = set(rng.sample(transient, 2)) | {rng.choice(g) for g in groups}
         trans[s] = Distribution({x: Fraction(1, len(support)) for x in support})
-    m = MarkovChain(tuple(sorted(trans)), transient[0], trans, frozenset())
+    m = chain(trans, transient[0])
     return m, {frozenset(g) for g in groups}
 
 
-def test_bscc_order_by_least_state_matches_sorted_component_keys():
+def test_bsccs_are_the_planted_bottom_components():
     rng = random.Random(61)
     for _ in range(200):
         m, groups = _chain_with_bottoms(rng)
         bottoms = bsccs(m)
         assert len(bottoms) == len(groups) >= 2
-        assert set(bottoms) == groups
-        assert bottoms == sorted(bottoms, key=ckey)
+        assert named_bottoms(m) == groups
 
 
 def test_verdicts_agree_with_monte_carlo():
@@ -141,9 +151,10 @@ def test_verdicts_agree_with_monte_carlo():
             if step >= burn_in:
                 seen_after_burn_in |= marked[cur]
         freq = seen_after_burn_in.mean()
-        if as_verdict(m, "cobuchi"):
+        support = support_chain(m)
+        if as_verdict(support, "cobuchi"):
             assert freq < 0.01
-        if as_verdict(m, "buchi"):
+        if as_verdict(support, "buchi"):
             assert freq > 0.99
 
 
@@ -219,41 +230,9 @@ def test_lift_product_chains_are_equal_graphs():
         final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
         w = random_lasso_word(rng, sigma)
         t = tree_from_word(w)
-        assert tree_chain(lift_diagonal(a), final, t) == tree_chain(lift_swap(a), final, t)
-
-
-def _full_word_chain(a, final, w):
-    """Oracle: a row for every (state, lasso position) pair, reachable or not."""
-    n, k = len(w), len(w.prefix)
-    states = tuple((q, i) for q in sorted(a.states) for i in range(n))
-    trans = {
-        (q, i): Distribution(
-            [((q2, i + 1 if i + 1 < n else k), p) for q2, p in a.dist(q, w.at(i)).items()]
-        )
-        for q, i in states
-    }
-    marked = frozenset((q, i) for q in final for i in range(n))
-    return MarkovChain(states, (a.initial, 0), trans, marked)
-
-
-def _full_tree_chain(a, final, t):
-    """Oracle: a row for every (state, tree node) pair, reachable or not."""
-    states = tuple((q, n) for q in sorted(a.states) for n in t.nodes)
-    trans = {}
-    for q, n in states:
-        acc: dict = {}
-        for (q0, q1), w in a.dist(q, t.label[n]).items():
-            for tgt in ((q0, t.succ0[n]), (q1, t.succ1[n])):
-                acc[tgt] = acc.get(tgt, Fraction(0)) + w / 2
-        trans[(q, n)] = Distribution(acc)
-    marked = frozenset((q, n) for q in final for n in t.nodes)
-    return MarkovChain(states, (a.initial, t.root), trans, marked)
-
-
-def _reachable_part(m):
-    reach = reachable([m.initial], m.successors)
-    states = tuple(s for s in m.states if s in reach)
-    return MarkovChain(states, m.initial, {s: m.trans[s] for s in states}, m.marked & reach)
+        diagonal, swap = lift_diagonal(a), lift_swap(a)
+        assert weighted_tree_chain(diagonal, final, t) == weighted_tree_chain(swap, final, t)
+        assert named(tree_chain(diagonal, final, t)) == named(tree_chain(swap, final, t))
 
 
 def _with_unreachable_nodes(rng, t, sigma, extra):
@@ -270,22 +249,46 @@ def _with_unreachable_nodes(rng, t, sigma, extra):
     return RegularTree(tuple(nodes), t.root, label, succ0, succ1)
 
 
+def _random_split_automaton(rng, n, sigma):
+    """A probabilistic tree automaton whose splits may send different states
+    to the two children, unlike the lifts of word automata."""
+    states = [f"q{i}" for i in range(n)]
+    pairs = [(q0, q1) for q0 in states for q1 in states]
+    delta = {}
+    for q in states:
+        for x in sigma.symbols:
+            split = rng.sample(pairs, rng.randint(1, 3))
+            weights = [rng.randint(1, 4) for _ in split]
+            delta[(q, x)] = Distribution(
+                {pair: Fraction(wt, sum(weights)) for pair, wt in zip(split, weights)}
+            )
+    return ProbTreeAutomaton(sigma, frozenset(states), states[0], delta)
+
+
 def test_chain_builders_match_full_product_oracle():
     rng = random.Random(31)
+    split_rng = random.Random(37)
     sigma = Alphabet(("a", "b"))
     for _ in range(60):
         a = random_simple_pwa(rng, 5, sigma)
         final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
         w = random_lasso_word(rng, sigma, 4, 5)
         t = _with_unreachable_nodes(rng, random_regular_tree(rng, 8, sigma), sigma, 3)
-        pairs = [(word_chain(a, final, w), _full_word_chain(a, final, w))]
+        pairs = [(word_chain(a, final, w), full_word_chain(a, final, w))]
         for lift in (lift_diagonal, lift_swap):
-            pairs.append((tree_chain(lift(a), final, t), _full_tree_chain(lift(a), final, t)))
+            pairs.append((tree_chain(lift(a), final, t), full_tree_chain(lift(a), final, t)))
+        b = _random_split_automaton(split_rng, 4, sigma)
+        b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
+        pairs.append((tree_chain(b, b_final, t), full_tree_chain(b, b_final, t)))
         for fast, full in pairs:
-            assert fast == _reachable_part(full)
+            assert fast.states[0] == full.initial
+            assert len(set(fast.states)) == len(fast.states)
+            assert named(fast) == weighted_named(reachable_part(full))
             assert not {u for _, u in fast.states} & {"u0", "u1", "u2"}
-            for kind in ("buchi", "cobuchi"):
-                assert as_verdict(fast, kind) == as_verdict(full, kind)
+            bottoms = oracle_bottoms(full)
+            assert named_bottoms(fast) == bottoms
+            assert as_verdict(fast, "buchi") == all(c & full.marked for c in bottoms)
+            assert as_verdict(fast, "cobuchi") == (not any(c & full.marked for c in bottoms))
 
 
 def test_qualitative_verdicts_depend_only_on_support():
@@ -302,7 +305,7 @@ def test_qualitative_verdicts_depend_only_on_support():
             )
         m2 = MarkovChain(m.states, m.initial, reweighted, m.marked)
         for kind in ("buchi", "cobuchi"):
-            assert as_verdict(m, kind) == as_verdict(m2, kind)
+            assert as_verdict(support_chain(m), kind) == as_verdict(support_chain(m2), kind)
 
 
 def test_verdict_rejects_unknown_kind():
