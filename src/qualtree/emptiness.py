@@ -507,12 +507,14 @@ def _sure_belief_strategy(g: ImperfectInfoArena, target: frozenset, beliefs: lis
             pred[w].append(v)
     goal = {b for b in range(n_b) if beliefs[b] <= target}
     region = set(range(len(succ)))
+    knowledge = [v < n_b for v in range(len(succ))]
+    pairs = [not k for k in knowledge]
     while True:
-        attr, witness = _attractor(succ, pred, region, goal & region, lambda v: v < n_b)
+        attr, witness = _attractor(succ, pred, region, goal & region, knowledge)
         lost = region.difference(attr)
         if not lost:
             break
-        trap, _ = _attractor(succ, pred, region, lost, lambda v: v >= n_b)
+        trap, _ = _attractor(succ, pred, region, lost, pairs)
         region.difference_update(trap)
         if 0 not in region:
             return None

@@ -138,6 +138,8 @@ def parse_automaton(text: str) -> LoadedAutomaton:
     for line in lines[1:]:
         head, rest = line[0], line[1:]
         if head == "alphabet":
+            if not rest or len(set(rest)) != len(rest):
+                raise FormatError(f"alphabet line needs distinct symbols: {' '.join(line)}")
             alphabet = Alphabet(tuple(rest))
         elif head == "states":
             states = rest

@@ -7,8 +7,10 @@ with positive probability inside the region.  Within a closed finite
 region, uniformly positive single-shot progress bootstraps to probability
 one, which is why this characterises the almost-sure set.
 
-The solver numbers the arena's vertices once and computes that region with
-two attractors on integer ids, one worklist attractor for both: the
+The solvers run on an integer `Arena`: successor ids and an owner code per
+vertex, no weights.  A named `StochasticArena`, the type at the file
+boundary, is numbered once in `g.edges` order into the same core.  The
+region comes from two attractors on ids, one worklist attractor for both: the
 protagonist's attractor to the target (her vertices and the coin's
 attract), and, while it misses some vertex of the region, the opponent's
 attractor to the missed vertices (his vertices and the coin's attract),
@@ -23,6 +25,7 @@ is the fast route and the random suite holds the two together.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,6 +94,39 @@ class StochasticArena:
         if v in self.abelard:
             return ABELARD
         return "random"
+
+
+# Owner codes of an Arena's vertices.
+OWN_ELOISE, OWN_ABELARD, OWN_RANDOM = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class Arena:
+    """Turn-based arena on the ids 0 .. n-1, without weights.
+
+    Qualitative verdicts depend only on supports, so a vertex is its tuple
+    of successor ids and its owner code.  Builders make it valid by
+    construction: every id has successors, none repeated, all in range.
+    """
+
+    succ: Sequence  # id -> tuple of successor ids
+    owner: bytes  # id -> OWN_ELOISE, OWN_ABELARD or OWN_RANDOM
+    initial: int
+
+    def _owned(self, code: int) -> list:
+        return [v for v, o in enumerate(self.owner) if o == code]
+
+    @property
+    def eloise(self) -> list:
+        return self._owned(OWN_ELOISE)
+
+    @property
+    def abelard(self) -> list:
+        return self._owned(OWN_ABELARD)
+
+    @property
+    def random(self) -> list:
+        return self._owned(OWN_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -281,10 +317,10 @@ def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _attractor(succ: list, pred: list, region: set, base: set, attracts):
+def _attractor(succ: list, pred: list, region: set, base: set, attracts: Sequence):
     """Nodes of `region` from which the player owning the nodes where
-    `attracts` holds forces a visit to `base`, in the order they join, and
-    for each joining node of that player the successor it moves to.
+    `attracts[v]` is true forces a visit to `base`, in the order they join,
+    and for each joining node of that player the successor it moves to.
 
     A worklist over predecessor counts, O(edges) for the region.  A node of
     the attracting player joins with its first successor to join, any other
@@ -296,11 +332,13 @@ def _attractor(succ: list, pred: list, region: set, base: set, attracts):
     """
     left = {}  # non-attracting node -> successors in region still outside
     for v in region:
-        if v not in base and not attracts(v):
-            left[v] = sum(w in region for w in succ[v])
+        if not attracts[v] and v not in base:
+            left[v] = len(region.intersection(succ[v]))
     frontier = sorted(base & region)
     later = sorted(v for v, n in left.items() if n == 0)
-    joined = set(frontier) | set(later)
+    waiting = bytearray(len(succ))  # 1 for a node of region yet to join
+    for v in region.difference(frontier, later):
+        waiting[v] = 1
     order: list = []
     witness: dict = {}
     while frontier or later:
@@ -311,73 +349,91 @@ def _attractor(succ: list, pred: list, region: set, base: set, attracts):
         same = []
         for w in frontier:
             for v in pred[w]:
-                if v in joined or v not in region:
+                if not waiting[v]:
                     continue
-                if attracts(v):
-                    joined.add(v)
+                if attracts[v]:
+                    waiting[v] = 0
                     same.append(v)
                 else:
-                    left[v] -= 1
-                    if not left[v]:
-                        joined.add(v)
+                    n = left[v] - 1
+                    left[v] = n
+                    if not n:
+                        waiting[v] = 0
                         later.append(v)
         for v in same:
-            witness[v] = next(w for w in succ[v] if w in now)
+            for w in succ[v]:
+                if w in now:
+                    witness[v] = w
+                    break
         frontier = same
     return order, witness
 
 
-def _as_buchi_core(g: StochasticArena, target: frozenset):
-    """Greatest region that is escape-proof and everywhere positively attracted
-    to the target; returns (region, eloise choice map).
+def number(g: StochasticArena, target) -> tuple[Arena, frozenset, tuple]:
+    """A named arena numbered once, in `g.edges` order: the integer arena,
+    the ids of the target's vertices and the names by id."""
+    names = tuple(g.edges)
+    vid = {v: i for i, v in enumerate(names)}
+    succ = [tuple(vid[w] for w in g.edges[v]) for v in names]
+    owner = bytes(OWN_ELOISE if v in g.eloise else OWN_ABELARD if v in g.abelard else OWN_RANDOM
+                  for v in names)
+    goal = frozenset(vid[v] for v in target if v in vid)
+    return Arena(succ, owner, vid[g.initial]), goal, names
 
-    Vertices are numbered once, in the order `g.edges` lists them.  Starting
-    from all of them, the loop computes the protagonist's attractor to the
-    target inside the region, where her vertices and the coin's attract.
-    When it covers the region, the region is the answer.  Otherwise the
-    opponent's attractor to the vertices it misses, where his vertices and
-    the coin's attract, is removed, which leaves the region escape-proof,
-    and the loop goes round again.  Each round is O(edges) and removes at
-    least one vertex.
+
+def _as_buchi_core(a: Arena, goal: frozenset):
+    """Greatest region that is escape-proof and everywhere positively attracted
+    to the target; returns (region, eloise choice map), both on ids.
+
+    Starting from all vertices, the loop computes the protagonist's
+    attractor to the target inside the region, where her vertices and the
+    coin's attract.  When it covers the region, the region is the answer.
+    Otherwise the opponent's attractor to the vertices it misses, where his
+    vertices and the coin's attract, is removed, which leaves the region
+    escape-proof, and the loop goes round again.  Each round is O(edges) and
+    removes at least one vertex.
 
     The protagonist moves to her witness in the last attractor, which joined
     it a round earlier, and from a target vertex to her first successor
     inside the region.  Neither depends on the numbering.
     """
-    verts = list(g.edges)
-    vid = {v: i for i, v in enumerate(verts)}
-    succ = [[vid[w] for w in g.edges[v]] for v in verts]
-    pred: list = [[] for _ in verts]
+    succ, owner = a.succ, a.owner
+    pred: list = [[] for _ in succ]
     for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
-    protagonist = [v in g.eloise for v in verts]
-    opponent = [v in g.abelard for v in verts]
-    goal = {vid[v] for v in target if v in vid}
-    region = set(range(len(verts)))
+    hers = [o != OWN_ABELARD for o in owner]
+    his = [o != OWN_ELOISE for o in owner]
+    region = set(range(len(succ)))
     while True:
-        attr, witness = _attractor(succ, pred, region, goal & region,
-                                   lambda v: not opponent[v])
+        attr, witness = _attractor(succ, pred, region, goal & region, hers)
         lost = region.difference(attr)
         if not lost:
             break
-        trap, _ = _attractor(succ, pred, region, lost, lambda v: not protagonist[v])
+        trap, _ = _attractor(succ, pred, region, lost, his)
         region.difference_update(trap)
         if not region:
             return frozenset(), {}
     choice = {}
     for v in sorted(region):
-        if protagonist[v]:
-            w = witness[v] if v in witness else next(w for w in succ[v] if w in region)
-            choice[verts[v]] = verts[w]
-    return frozenset(verts[v] for v in region), choice
+        if owner[v] == OWN_ELOISE:
+            choice[v] = witness[v] if v in witness else next(w for w in succ[v] if w in region)
+    return frozenset(region), choice
 
 
-def almost_sure_buchi(g: StochasticArena, target) -> tuple[frozenset, PositionalStrategy]:
+def almost_sure_buchi(g, target) -> tuple[frozenset, PositionalStrategy]:
     """Almost-sure repeated-reach winning set and a witnessing positional
-    strategy (defined on the winning set's protagonist vertices)."""
-    region, choice = _as_buchi_core(g, frozenset(target))
-    return region, PositionalStrategy(ELOISE, choice)
+    strategy (defined on the winning set's protagonist vertices).
+
+    On an integer `Arena` the target, the set and the strategy are ids; a
+    named `StochasticArena` is numbered once, and they are names."""
+    if isinstance(g, Arena):
+        region, choice = _as_buchi_core(g, frozenset(target))
+        return region, PositionalStrategy(ELOISE, choice)
+    a, goal, names = number(g, target)
+    region, choice = _as_buchi_core(a, goal)
+    return (frozenset(names[v] for v in region),
+            PositionalStrategy(ELOISE, {names[v]: names[w] for v, w in choice.items()}))
 
 
 def _absorb(g: StochasticArena, target: frozenset) -> StochasticArena:
@@ -401,8 +457,8 @@ def almost_sure_reach(g: StochasticArena, target) -> tuple[frozenset, Positional
     """Almost-sure reachability; reach-equivalent to repeated reach once the
     target is made absorbing."""
     target = frozenset(target)
-    region, choice = _as_buchi_core(_absorb(g, target), target)
-    full_choice = dict(choice)
+    region, strategy = almost_sure_buchi(_absorb(g, target), target)
+    full_choice = dict(strategy.choice)
     for v in region & g.eloise & target:
         full_choice[v] = g.edges[v][0]  # already won; any move is fine
     return region, PositionalStrategy(ELOISE, full_choice)
@@ -420,13 +476,6 @@ def check_reach_strategy(g: StochasticArena, target, s: PositionalStrategy) -> b
     return not controller_positive_avoid(m, frozenset(target))
 
 
-def eloise_choice_space(g: StochasticArena) -> int:
-    n = 1
-    for v in g.eloise:
-        n *= len(g.edges[v])
-    return n
-
-
 def eloise_positional_strategies(g: StochasticArena):
     """All positional strategies for the protagonist, in canonical order."""
     vs = csorted(g.eloise)
@@ -437,20 +486,32 @@ def eloise_positional_strategies(g: StochasticArena):
         yield PositionalStrategy(ELOISE, dict(zip(vs, combo)))
 
 
-def almost_sure_cobuchi(
-    g: StochasticArena, target, choice_bound: int = 2**20
-) -> bool:
+def almost_sure_cobuchi(g, target, choice_bound: int = 2**20) -> bool:
     """Almost-sure finitely-many-visits verdict from the initial vertex.
 
     Solved by enumeration over the protagonist's positional strategies
-    (positional strategies suffice on finite arenas); each candidate is
-    refuted exactly by the opponent-as-controller analysis.
+    (positional strategies suffice on finite arenas), her vertices taken in
+    id order; each candidate is refuted exactly by the opponent-as-controller
+    analysis.  The MDP a strategy leaves is built from rows made once: the
+    opponent has one move per successor and the coin one move, its support.
+    Only the protagonist's rows, one move to her choice, change from one
+    strategy to the next.  A named `StochasticArena` is numbered once first.
     """
-    target = frozenset(target)
-    if eloise_choice_space(g) > choice_bound:
+    if isinstance(g, Arena):
+        a, goal = g, frozenset(target)
+    else:
+        a, goal, _ = number(g, target)
+    mine = a.eloise
+    if math.prod(len(a.succ[v]) for v in mine) > choice_bound:
         raise ResourceLimit("protagonist choice space", choice_bound)
-    for s in eloise_positional_strategies(g):
-        if not controller_positive_buchi(fix_strategy(g, s), target):
+    moves = [tuple(frozenset((w,)) for w in ws) if o == OWN_ABELARD else (frozenset(ws),)
+             for ws, o in zip(a.succ, a.owner)]
+    options = [[(frozenset((w,)),) for w in a.succ[v]] for v in mine]
+    states = range(len(moves))
+    for combo in itertools.product(*options):
+        for v, row in zip(mine, combo):
+            moves[v] = row
+        if not _positive_buchi_view(MdpView(states, a.initial, moves), goal):
             return True
     return False
 

@@ -10,7 +10,7 @@ where the sources are simple, and all are deterministic in their inputs.
 
 from __future__ import annotations
 
-from qualtree.acceptance import build_tree_game_arena, state_vertex
+from qualtree.acceptance import build_tree_game_arena, name_arena, state_vertex
 from qualtree.automata import (
     Alphabet,
     NonZeroAutomaton,
@@ -222,14 +222,15 @@ def build_nonzero_arena(
     game, so for purely split automata the arena coincides with it.  The
     three clause sets come back as vertex markings.
     """
-    arena = build_tree_game_arena(
-        states=b.states,
+    states = csorted(b.states)
+    arena = name_arena(build_tree_game_arena(
+        states=states,
         eloise=b.eloise,
         split_transitions=b.split_transitions,
         local_transitions=b.local_transitions,
         initial_state=b.initial,
         tree=t,
-    )
+    ), states, t)
     marks = {
         name: frozenset(state_vertex(q, n) for q in subset for n in t.nodes)
         for name, subset in (

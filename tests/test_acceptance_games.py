@@ -3,18 +3,37 @@ import random
 
 import pytest
 
-from qualtree.acceptance import build_acceptance_game, qualitative_membership
+from qualtree.acceptance import (
+    build_acceptance_game,
+    build_tree_game_arena,
+    qualitative_membership,
+    random_vertex,
+    state_ids,
+    state_vertex,
+)
 from qualtree.automata import (
     Alphabet,
     AlternatingTreeAutomaton,
+    NonZeroAutomaton,
     buchi,
     cobuchi,
     universal_to_alternating,
 )
+from qualtree.dist import Distribution
 from qualtree.errors import FormatError
 from qualtree.gallery import constant_tree, contradictory_uniformity_automaton
+from qualtree.games import (
+    OWN_ABELARD,
+    OWN_ELOISE,
+    PositionalStrategy,
+    StochasticArena,
+    almost_sure_buchi,
+    check_buchi_strategy,
+    number,
+)
 from qualtree.markov import prob_tree_membership
-from qualtree.reductions import lift_swap, universalize
+from qualtree.ordering import csorted
+from qualtree.reductions import build_nonzero_arena, lift_swap, universalize
 from qualtree.suite import random_alternating_buchi, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
 
@@ -33,6 +52,96 @@ def one_state_automaton():
     )
 
 
+def named_tree_game_arena(
+    *, states, eloise, split_transitions, local_transitions, initial_state, tree
+) -> StochasticArena:
+    """The pebble-game arena built directly on named vertices, kept as the
+    oracle of the integer builder: state vertex (q, n) belongs to q's owner,
+    every split row makes a random vertex with an even split over the two
+    children (a point mass when they coincide), and local rows move the
+    state on the same node."""
+    split_by: dict = {}
+    for (q, a, q0, q1) in split_transitions:
+        split_by.setdefault((q, a), []).append((q0, q1))
+    local_by: dict = {}
+    for (q, a, q2) in local_transitions:
+        local_by.setdefault((q, a), []).append(q2)
+    ve, va, vr = set(), set(), set()
+    edges: dict = {}
+    dist: dict = {}
+    for q in states:
+        for n in tree.nodes:
+            v = state_vertex(q, n)
+            (ve if q in eloise else va).add(v)
+            a = tree.label[n]
+            out = [state_vertex(q2, n) for q2 in sorted(local_by.get((q, a), ()))]
+            for (q0, q1) in sorted(split_by.get((q, a), ())):
+                r = random_vertex(q, n, q0, q1)
+                vr.add(r)
+                out.append(r)
+                c0 = state_vertex(q0, tree.succ0[n])
+                c1 = state_vertex(q1, tree.succ1[n])
+                dist[r] = Distribution.half_half(c0, c1)
+                edges[r] = (c0,) if c0 == c1 else (c0, c1)
+            edges[v] = tuple(out)
+    return StochasticArena(frozenset(ve), frozenset(va), frozenset(vr), edges, dist,
+                           state_vertex(initial_state, tree.root))
+
+
+def _with_local_rows(rng, aut) -> NonZeroAutomaton:
+    qs = sorted(aut.states)
+    local = frozenset((q, a, rng.choice(qs)) for q in qs for a in aut.alphabet
+                      if rng.random() < 0.3)
+    return NonZeroAutomaton(
+        alphabet=aut.alphabet, states=aut.states, order=tuple(qs), initial=aut.initial,
+        eloise=aut.eloise, abelard=aut.abelard, local_transitions=local,
+        split_transitions=aut.transitions,
+        f_forall=aut.states, f_one=frozenset(qs[:1]), f_pos=frozenset(qs[1:]),
+    )
+
+
+def test_integer_arena_names_match_the_named_oracle():
+    rng = random.Random(71)
+    won = lost = 0
+    for _ in range(60):
+        aut, final = random_alternating_buchi(rng, max_states=4)
+        t = random_regular_tree(rng, 5, aut.alphabet)
+        game = build_acceptance_game(aut, final, t)
+        oracle = named_tree_game_arena(
+            states=aut.states, eloise=aut.eloise, split_transitions=aut.transitions,
+            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+        assert game.arena == oracle
+        assert game.target == frozenset(state_vertex(q, n) for q in final for n in t.nodes)
+
+        # The named view numbers back into the integer arena it came from.
+        states = csorted(aut.states)
+        arena = build_tree_game_arena(
+            states=states, eloise=aut.eloise, split_transitions=aut.transitions,
+            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+        again, goal, names = number(game.arena, game.target)
+        assert again == arena and goal == state_ids(states, final, t)
+
+        region, strategy = almost_sure_buchi(oracle, game.target)
+        verdict = qualitative_membership(aut, buchi(final), t)
+        assert verdict == (oracle.initial in region)
+        id_region, id_strategy = almost_sure_buchi(arena, goal)
+        assert {names[v] for v in id_region} == region
+        assert {names[v]: names[w] for v, w in id_strategy.choice.items()} == strategy.choice
+        if verdict:
+            total = {v: strategy.choice.get(v, oracle.edges[v][0]) for v in oracle.eloise}
+            assert check_buchi_strategy(oracle, game.target, PositionalStrategy(strategy.owner, total))
+        won += verdict
+        lost += not verdict
+
+        nz = _with_local_rows(rng, aut)
+        named, marks = build_nonzero_arena(nz, t)
+        assert named == named_tree_game_arena(
+            states=nz.states, eloise=nz.eloise, split_transitions=nz.split_transitions,
+            local_transitions=nz.local_transitions, initial_state=nz.initial, tree=t)
+        assert marks["one"] == frozenset(state_vertex(q, n) for q in nz.f_one for n in t.nodes)
+    assert won > 10 and lost > 10
+
+
 def test_build_single_state_game():
     game = build_acceptance_game(one_state_automaton(), frozenset({"q"}), constant_tree("a"))
     arena = game.arena
@@ -44,6 +153,7 @@ def test_build_single_state_game():
 
 def test_vertex_count_arithmetic():
     rng = random.Random(19)
+    coincide = 0
     for _ in range(20):
         aut, final = random_alternating_buchi(rng, max_states=3)
         t = random_regular_tree(rng, 3, aut.alphabet)
@@ -56,6 +166,30 @@ def test_vertex_count_arithmetic():
             if tr[0] == q and tr[1] == t.label[n]
         )
         assert len(game.arena.vertices) == len(aut.states) * len(t.nodes) + matches
+
+        # Ids: (q, n) is rank(q)·|N| + rank(n), then one random id per row.
+        states, nodes = csorted(aut.states), t.nodes
+        width = len(nodes)
+        arena = build_tree_game_arena(
+            states=states, eloise=aut.eloise, split_transitions=aut.transitions,
+            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+        first_coin = len(states) * width
+        assert sorted(arena.eloise + arena.abelard) == list(range(first_coin))
+        assert arena.random == list(range(first_coin, first_coin + matches))
+        assert arena.initial == states.index(aut.initial) * width + nodes.index(t.root)
+        for r, q in enumerate(states):
+            for i, n in enumerate(nodes):
+                v = r * width + i
+                assert arena.owner[v] == (OWN_ELOISE if q in aut.eloise else OWN_ABELARD)
+                rows = sorted((q0, q1) for (p, a, q0, q1) in aut.transitions
+                              if p == q and a == t.label[n])
+                assert len(arena.succ[v]) == len(rows)
+                for (q0, q1), c in zip(rows, arena.succ[v]):
+                    c0 = states.index(q0) * width + nodes.index(t.succ0[n])
+                    c1 = states.index(q1) * width + nodes.index(t.succ1[n])
+                    assert arena.succ[c] == ((c0,) if c0 == c1 else (c0, c1))
+                    coincide += c0 == c1
+    assert coincide > 0
 
 
 def test_incomplete_automaton_is_named_in_error():

@@ -214,6 +214,15 @@ def test_malformed_initial_line(files, tmp_path, line):
     assert code == 2 and "verdict" not in out
 
 
+@pytest.mark.parametrize("line", ["alphabet a a", "alphabet"], ids=["repeated", "empty"])
+def test_malformed_alphabet_line(files, tmp_path, line):
+    p = tmp_path / "alphabet.aut"
+    p.write_text(f"kind alternating-tree\n{line}\nstates q\ninitial q\nabelard q\n"
+                 "accept buchi q\ntrans q a q q\n")
+    code, out = run_cli("membership", str(p), str(files["tree"]))
+    assert code == 2 and "verdict" not in out
+
+
 def test_simulate_word_and_tree(files):
     code, out = run_cli("simulate", str(files["tree"]), "--seed", "42", "--horizon", "4")
     assert code == 0 and "samples: a a a a a" in out

@@ -530,7 +530,7 @@ def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
         regions += [{v for v in range(len(node)) if rng.random() < 0.8} for _ in range(3)]
         for region in regions:
             for base, for_eloise in ((goal & region, True), (set(rng.sample(sorted(region), len(region) // 4)), False)):
-                attracts = (lambda v: v < n_b) if for_eloise else (lambda v: v >= n_b)
+                attracts = [(v < n_b) == for_eloise for v in range(len(succ))]
                 order, witness = _attractor(succ, pred, region, base, attracts)
                 old_attr, old_witness = _det_attractor(
                     {node[v] for v in region}, owner_is_e, old_succ.get,

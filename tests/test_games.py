@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qualtree.acceptance import build_acceptance_game
+from qualtree.acceptance import build_acceptance_game, qualitative_membership
+from qualtree.automata import cobuchi
 from qualtree.dist import Distribution
 from qualtree.emptiness import _full_information_arena, build_emptiness_game
 from qualtree.errors import ResourceLimit
@@ -417,12 +419,47 @@ def test_almost_sure_cobuchi_collapses_on_controller_free_arenas():
         assert almost_sure_cobuchi(flipped, target) == expected
 
 
+def _enumerated_cobuchi(g: StochasticArena, target, choice_bound: int = 2**20) -> bool:
+    """The co-Buchi enumeration the solver replaced, kept as its oracle: each
+    positional strategy fixed into a fresh arena, numbered again, and
+    refuted by the opponent-as-controller analysis."""
+    if math.prod(len(g.edges[v]) for v in g.eloise) > choice_bound:
+        raise ResourceLimit("protagonist choice space", choice_bound)
+    return any(not controller_positive_buchi(fix_strategy(g, s), frozenset(target))
+               for s in eloise_positional_strategies(g))
+
+
 def test_almost_sure_cobuchi_size_guard():
     owners = {f"v{i}": "eloise" for i in range(25)}
     edges = {f"v{i}": tuple(f"v{j}" for j in range(25)) for i in range(25)}
     g = arena(owners, edges, initial="v0")
-    with pytest.raises(ResourceLimit):
-        almost_sure_cobuchi(g, frozenset({"v0"}))
+    for solve in (almost_sure_cobuchi, _enumerated_cobuchi):
+        with pytest.raises(ResourceLimit):
+            solve(g, frozenset({"v0"}))
+
+
+def test_almost_sure_cobuchi_matches_the_enumeration_oracle():
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(150):
+        g = random_arena(rng, 8)
+        g = with_initial(g, rng.choice(csorted(g.vertices)))
+        for target in _targets(rng, g):
+            verdict = almost_sure_cobuchi(g, target)
+            assert verdict == _enumerated_cobuchi(g, target)
+            seen.add(verdict)
+    for g, target in _acceptance_arenas(89, 30):
+        verdict = almost_sure_cobuchi(g, target)
+        assert verdict == _enumerated_cobuchi(g, target)
+        seen.add(verdict)
+    rng = random.Random(97)
+    for _ in range(30):
+        aut, final = random_alternating_buchi(rng, max_states=4)
+        t = random_regular_tree(rng, 5, aut.alphabet)
+        game = build_acceptance_game(aut, final, t)
+        assert qualitative_membership(aut, cobuchi(final), t) == _enumerated_cobuchi(
+            game.arena, game.target)
+    assert seen == {True, False}
 
 
 def test_gadget_structure_and_trivial_instance():
