@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Print seeded membership and solve-game reports without their wall-time lines.
+"""Print seeded membership, solve-game and check-emptiness reports without
+their wall-time lines.
 
 Usage: python scripts/report_repro.py SEED COUNT
 
 Draws COUNT seeded alternating automata, each with a regular tree, and COUNT
-seeded arenas with targets.  It writes them as files to a temporary
-directory and runs `qualtree membership` (Buchi and co-Buchi acceptance)
-and `qualtree solve-game --objective buchi|cobuchi` on them in-process, as
-text and as --json, printing each exit code and report.  Reports are meant
-to be byte-identical above `wall-time-ms`, so two outputs of this script,
-say under PYTHONHASHSEED=0 and 123, or of two versions of the program,
-should compare equal.
+seeded arenas with targets, then COUNT more seeded alternating Buchi
+automata.  It writes them as files to a temporary directory and runs
+`qualtree membership` (Buchi and co-Buchi acceptance), `qualtree
+solve-game --objective buchi|cobuchi` and `qualtree check-emptiness AUT
+--witness W` on them in-process, as text and as --json, printing each exit
+code and report, and after a check-emptiness report the files W and
+W.strategy it wrote.  Reports are meant to be byte-identical above
+`wall-time-ms`, so two outputs of this script, say under PYTHONHASHSEED=0
+and 123, or of two versions of the program, should compare equal.
 """
 
 import io
@@ -46,7 +49,24 @@ def write_inputs(seed: int, count: int) -> list[list[str]]:
             fh.write(serialize_arena(g, random_target(rng, g)))
         for objective in ("buchi", "cobuchi"):
             commands.append(["solve-game", f"g{k}.arena", "--objective", objective])
+    for k in range(count):
+        aut, final = random_alternating_buchi(rng, max_states=4)
+        with open(f"e{k}.aut", "w") as fh:
+            fh.write(serialize_automaton(aut, buchi(final)))
+        commands.append(["check-emptiness", f"e{k}.aut", "--witness", f"e{k}.witness"])
     return commands
+
+
+def print_outputs(argv: list[str]) -> None:
+    """Print, then remove, the witness files a check-emptiness run wrote."""
+    if "--witness" not in argv:
+        return
+    witness = argv[argv.index("--witness") + 1]
+    for path in (witness, witness + ".strategy"):
+        if os.path.exists(path):
+            with open(path) as fh:
+                print(f"--- {path}\n{fh.read()}", end="")
+            os.remove(path)
 
 
 def without_wall_time(report: str) -> str:
@@ -75,6 +95,7 @@ def main() -> int:
                         code = qualtree(argv + extra)
                     print(f"$ qualtree {' '.join(argv + extra)}  (exit {code})")
                     print(without_wall_time(out.getvalue() + err.getvalue()))
+                    print_outputs(argv)
         finally:
             os.chdir(home)
     return 0

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 positive verdict (member / true / empty / success),
-1 negative verdict, 2 malformed input, 3 resource exceeded,
-4 internal disagreement between a solver and its oracle.
+1 negative verdict, 2 malformed input or an output path that cannot be
+written, 3 resource exceeded, 4 internal disagreement between a solver and
+its oracle.
 
 Reports are stable key:value lines; the wall-time line comes last so that
 byte comparison of everything above it checks reproducibility.
@@ -102,6 +103,14 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {e}") from e
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise FormatError(f"cannot write {path}: {e}") from e
+
+
 def _load_automaton(path: str, report: Report) -> LoadedAutomaton:
     loaded = parse_automaton(_read(path))
     problems = validate(loaded.automaton)
@@ -163,10 +172,8 @@ def cmd_check_emptiness(args) -> int:
         result.kind
     ]
     if result.kind == "nonempty" and args.witness:
-        with open(args.witness, "w", encoding="utf-8") as fh:
-            fh.write(serialize_tree(result.witness))
-        with open(args.witness + ".strategy", "w", encoding="utf-8") as fh:
-            fh.write(serialize_strategy(result.strategy))
+        _write(args.witness, serialize_tree(result.witness))
+        _write(args.witness + ".strategy", serialize_strategy(result.strategy))
         report.add("witness", args.witness)
     if args.oracle and result.kind != "resource-exceeded":
         game, target = build_emptiness_game(aut, accept.target)
@@ -281,8 +288,7 @@ def cmd_reduce(args) -> int:
         accept = _require_accept(loaded, args.input, kinds=(COBUCHI,))
         nz = to_nonzero(aut, accept.target)
         payload = serialize_automaton(nz, None)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    _write(args.output, payload)
     report.add("output", args.output)
     report.add("output-digest", digest(payload))
     report.emit(args.json)

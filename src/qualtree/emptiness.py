@@ -19,6 +19,11 @@ lower bound).  The sure-winning short-cut and the search run on integer
 ids (vertices, knowledge sets and actions numbered once) and on supports,
 since a refutation only asks whether a target-free end component exists;
 every strategy they return still passes `check_observation_strategy`.
+The search refutes each partial table on its product with the knowledge
+sets, assembled from rows built once per (knowledge set, action) and not
+walked breadth-first: the search assigns only knowledge sets its earlier
+assignments reach, so every pair of an assigned knowledge set and one of
+its members is reachable.
 The blunt enumeration in `solve_by_enumeration` shares only the
 backtracking order and re-derives every verdict with that exact check.
 """
@@ -34,7 +39,7 @@ from qualtree.automata import (
     buchi,
 )
 from qualtree.dist import Distribution
-from qualtree.errors import DisagreementError, ResourceLimit
+from qualtree.errors import DisagreementError, FormatError, ResourceLimit
 from qualtree.games import (
     MdpView,
     StochasticArena,
@@ -69,8 +74,22 @@ class LocalChoice:
 
 @dataclass(frozen=True)
 class EmptinessAction:
+    """A tree symbol with a local choice.  Actions key every transition and
+    knowledge-set successor lookup, so the hash the dataclass would give,
+    `hash((symbol, choice))`, is computed once per action."""
+
     symbol: str
     choice: LocalChoice
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.symbol, self.choice)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: unpickling recomputes it
+        return EmptinessAction, (self.symbol, self.choice)
 
 
 @dataclass(frozen=True)
@@ -139,7 +158,7 @@ def build_emptiness_game(
         for s in a.alphabet:
             rows[(q, s)] = a.rows(q, s)
             if not rows[(q, s)]:
-                raise ValueError(f"no transition for state {q} on symbol {s}")
+                raise FormatError(f"no transition for state {q} on symbol {s}")
 
     e_states = csorted(a.eloise)
     n_actions = 0
@@ -381,18 +400,25 @@ def _number_post(g: ImperfectInfoArena, beliefs: list, post: dict) -> dict:
     }
 
 
-def _table_refuter(g: ImperfectInfoArena, target: frozenset, post: dict):
+def _table_refuter(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
     """Refutation of partial tables on ids: `refuted(table)` is true when a
     target-free end component of pairs whose knowledge set the table assigns
     survives every completion.
 
-    Product pairs (vertex id, knowledge-set id) are explored breadth-first
-    from the start pair, so all are reachable from it and, on a closed table,
-    the predicate is exactly "the table loses".  Pairs of unassigned
-    knowledge sets get no moves, so they lie in no end component.  Moves are
-    support sets of pair ids: only supports matter.
+    Product pairs (vertex id, knowledge-set id) are numbered once per search.
+    The row of knowledge set b under action a is built the first time a
+    table assigns a to b, and kept: the pair ids of b's members, their moves
+    as support sets of pair ids (only supports matter), and the ids of the
+    pairs outside the target.  A table's product is then the rows of its
+    assigned knowledge sets, with no walk from the start pair:
+    `_closed_tables` assigns only a knowledge set reached under the earlier
+    assignments, so every pair (v, b) with v in an assigned b is reachable,
+    and on a closed table the predicate is exactly "the table loses".  End
+    components are sought among the safe pairs of assigned knowledge sets
+    only, so pairs of unassigned ones, whatever row they last had, lie in
+    none.
     """
-    n_act = len(g.actions)
+    n_act, n_v = len(g.actions), len(g.vertices)
     vid = {v: i for i, v in enumerate(g.vertices)}
     # (vertex id * n_act + action id) -> per opponent choice, (successor id, observation)
     moves = [
@@ -401,45 +427,58 @@ def _table_refuter(g: ImperfectInfoArena, target: frozenset, post: dict):
         for a in g.actions
     ]
     in_target = [v in target for v in g.vertices]
-    start = (vid[g.initial], 0)
+    index: dict = {}  # knowledge-set id * n_v + vertex id -> pair id
+    pairs: list = []  # pair id -> (vertex id, knowledge-set id)
+    prod: list = []  # pair id -> moves in the row last placed for its knowledge set
+    rows: dict = {}  # (knowledge-set id, action id) -> (pair ids, moves, safe pair ids)
+    placed: dict = {}  # knowledge-set id -> action id whose row is in prod
+
+    def pair(v: int, b: int) -> int:
+        j = index.get(b * n_v + v)
+        if j is None:
+            j = index[b * n_v + v] = len(pairs)
+            pairs.append((v, b))
+            prod.append(())
+        return j
+
+    def row(b: int, a: int) -> tuple:
+        branches = post[(b, a)]
+        members = sorted(vid[v] for v in beliefs[b])
+        ids = [pair(v, b) for v in members]
+        mvs = [
+            tuple(frozenset(pair(v2, branches[o]) for v2, o in support)
+                  for support in moves[v * n_act + a])
+            for v in members
+        ]
+        safe = frozenset(j for v, j in zip(members, ids) if not in_target[v])
+        return ids, mvs, safe
 
     def refuted(table: dict) -> bool:
-        pairs = [start]
-        index = {start: 0}
-        prod = []
-        safe = []
-        for i, (v, b) in enumerate(pairs):  # breadth-first: pairs grows while read
-            a = table.get(b)
-            if a is None:
-                prod.append(())
-                continue
-            branches = post[(b, a)]
-            mvs = []
-            for support in moves[v * n_act + a]:
-                step = set()
-                for v2, o in support:
-                    pair = (v2, branches[o])
-                    j = index.get(pair)
-                    if j is None:
-                        j = index[pair] = len(pairs)
-                        pairs.append(pair)
-                    step.add(j)
-                mvs.append(frozenset(step))
-            prod.append(tuple(mvs))
-            if not in_target[v]:
-                safe.append(i)
-        return bool(mec_decomposition(MdpView(pairs, 0, prod), within=frozenset(safe)))
+        safe: list = []
+        for b, a in table.items():
+            r = rows.get((b, a))
+            if r is None:
+                r = rows[(b, a)] = row(b, a)
+            if placed.get(b) != a:
+                placed[b] = a
+                for j, mv in zip(r[0], r[1]):
+                    prod[j] = mv
+            safe.append(r[2])
+        within = frozenset().union(*safe)
+        # the root {initial} gets the first row, so pair 0 is the start pair
+        return bool(mec_decomposition(MdpView(pairs, 0, prod), within=within))
 
     return refuted
 
 
-def _search_belief_table(g: ImperfectInfoArena, target: frozenset, post: dict):
+def _search_belief_table(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
     """Backtracking search for a winning per-belief action table on ids.
 
     Partial tables refuted by a target-free end component are cut, so the
     first closed table the search reaches wins; None when there is none.
     """
-    tables = _closed_tables(0, post, range(len(g.actions)), _table_refuter(g, target, post))
+    refuted = _table_refuter(g, target, beliefs, post)
+    tables = _closed_tables(0, post, range(len(g.actions)), refuted)
     return next(tables, None)  # never resumed, so the live table stays as found
 
 
@@ -557,7 +596,7 @@ def solve_imperfect_buchi(
     ids = _number_post(g, beliefs, post)
     table = _sure_belief_strategy(g, target, beliefs, ids)
     if table is None:
-        table = _search_belief_table(g, target, ids)
+        table = _search_belief_table(g, target, beliefs, ids)
     if table is None:
         return False, None
     assign = {beliefs[b]: g.actions[a] for b, a in table.items()}

@@ -75,6 +75,30 @@ def test_check_emptiness_exit_codes_and_witness(files):
     assert (files["tmp"] / "w.tree.strategy").read_text().startswith("strategy")
 
 
+def test_check_emptiness_missing_row_is_malformed(files, tmp_path):
+    p = tmp_path / "missing-row.aut"
+    p.write_text("kind alternating-tree\nalphabet a b\nstates q\ninitial q\neloise q\n"
+                 "accept buchi q\ntrans q a q q\n")
+    code, out = run_cli("check-emptiness", str(p))
+    assert code == 2 and "verdict" not in out
+    all_b = tmp_path / "all_b.tree"
+    all_b.write_text(serialize_tree(constant_tree("b")))
+    code, out = run_cli("membership", str(p), str(all_b))
+    assert code == 2 and "verdict" not in out
+
+
+def test_check_emptiness_unwritable_witness_is_malformed(files, tmp_path):
+    witness = tmp_path / "nodir" / "w.tree"
+    code, out = run_cli("check-emptiness", str(files["one"]), "--witness", str(witness))
+    assert code == 2 and "verdict" not in out
+
+
+def test_reduce_unwritable_output_is_malformed(files, tmp_path):
+    out_path = tmp_path / "nodir" / "au.aut"
+    code, out = run_cli("reduce", "universalize", str(files["detector"]), str(out_path))
+    assert code == 2 and "output-digest" not in out
+
+
 def test_check_emptiness_refuses_cobuchi(files, tmp_path):
     aut, core = contradictory_uniformity_automaton()
     p = tmp_path / "cb.aut"

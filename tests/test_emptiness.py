@@ -1,10 +1,15 @@
 import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qualtree
 from qualtree.acceptance import qualitative_membership
 from qualtree.automata import (
     Alphabet,
@@ -12,7 +17,9 @@ from qualtree.automata import (
     buchi,
 )
 from qualtree.emptiness import (
+    EmptinessAction,
     ImperfectInfoArena,
+    LocalChoice,
     ObservationStrategy,
     build_emptiness_game,
     check_emptiness,
@@ -485,7 +492,7 @@ def test_integer_refutation_matches_distribution_product_on_every_visited_table(
     visited = cut = 0
     for game, target, beliefs, post in games:
         ids = _number_post(game, beliefs, post)
-        refuted = _table_refuter(game, target, ids)
+        refuted = _table_refuter(game, target, beliefs, ids)
 
         def checked(table):
             nonlocal visited, cut
@@ -499,12 +506,54 @@ def test_integer_refutation_matches_distribution_product_on_every_visited_table(
         tables = _closed_tables(0, ids, range(len(game.actions)), checked)
         first = next(tables, None)
         first = None if first is None else dict(first)
-        assert first == _search_belief_table(game, target, ids)
+        assert first == _search_belief_table(game, target, beliefs, ids)
         # every closed table the pruning lets through wins exactly
         for table in itertools.chain([first] if first else [], itertools.islice(tables, 20)):
             assign = {beliefs[b]: game.actions[a] for b, a in table.items()}
             assert check_observation_strategy(game, target, _materialize(game, assign, post))
     assert visited > 500 and 0 < cut < visited
+
+
+def test_search_assigns_only_reached_knowledge_sets():
+    """The refuter builds each table's product from the rows of its assigned
+    knowledge sets without walking it, which is exact because every table
+    the search visits assigns only knowledge sets reached under it."""
+    aut, core = contradictory_uniformity_automaton()
+    game, target = build_emptiness_game(aut, core)
+    games = [(game, target, *reachable_beliefs(game, cap=400))] + _knowledge_games(71, 60)
+    visited = 0
+    for game, target, beliefs, post in games:
+        ids = _number_post(game, beliefs, post)
+        refuted = _table_refuter(game, target, beliefs, ids)
+
+        def checked(table):
+            nonlocal visited
+            assert set(table) <= set(_reached(0, table, ids)[0])
+            visited += 1
+            return refuted(table)
+
+        tables = _closed_tables(0, ids, range(len(game.actions)), checked)
+        for table in itertools.islice(tables, 20):
+            assert set(table) == set(_reached(0, table, ids)[0])
+    assert visited > 500
+
+
+def test_action_hash_is_the_dataclass_hash_computed_once():
+    aut, final = random_alternating_buchi(random.Random(5), max_states=4)
+    game, _ = build_emptiness_game(aut, final)
+    for a in game.actions:
+        twin = EmptinessAction(a.symbol, LocalChoice(a.choice.assign))
+        assert twin == a and hash(twin) == hash(a) == hash((a.symbol, a.choice))
+    # string hashes differ between processes, so unpickling recomputes the hash
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qualtree.__file__)))
+    check = ("import pickle, sys\n"
+             "acts = pickle.load(sys.stdin.buffer)\n"
+             "assert all(hash(a) == hash((a.symbol, a.choice)) for a in acts)\n"
+             "print(len(set(acts)))\n")
+    env = dict(os.environ, PYTHONHASHSEED="123", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", check], input=pickle.dumps(game.actions),
+                          env=env, capture_output=True, check=True)
+    assert int(done.stdout) == len(game.actions)
 
 
 def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
