@@ -6,12 +6,15 @@ Usage: python scripts/report_repro.py SEED COUNT
 
 Draws COUNT seeded alternating automata, each with a regular tree, and COUNT
 seeded arenas with targets, then COUNT more seeded alternating Buchi
-automata.  It writes them as files to a temporary directory and runs
-`qualtree membership` (Buchi and co-Buchi acceptance), `qualtree
-solve-game --objective buchi|cobuchi` and `qualtree check-emptiness AUT
---witness W` on them in-process, as text and as --json, printing each exit
-code and report, and after a check-emptiness report the files W and
-W.strategy it wrote.  Reports are meant to be byte-identical above
+automata, then COUNT seeded simple prob-word automata, each with a lasso
+word and a regular tree.  It writes them as files to a temporary directory
+and runs `qualtree membership` (Buchi and co-Buchi acceptance), `qualtree
+solve-game --objective buchi|cobuchi`, `qualtree check-emptiness AUT
+--witness W`, `qualtree word-membership` on each prob-word automaton and
+its word, and `qualtree ptree-membership` on its diagonal and crossed
+lifts and the tree (Buchi and co-Buchi acceptance each), in-process, as
+text and as --json, printing each exit code and report, and after a
+check-emptiness report the files W and W.strategy it wrote.  Reports are meant to be byte-identical above
 `wall-time-ms`, so two outputs of this script, say under PYTHONHASHSEED=0
 and 123, or of two versions of the program, should compare equal.
 """
@@ -24,10 +27,23 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from qualtree.automata import buchi, cobuchi
+from qualtree.automata import Alphabet, buchi, cobuchi
 from qualtree.cli import main as qualtree
-from qualtree.fileformat import serialize_arena, serialize_automaton, serialize_tree
-from qualtree.suite import random_alternating_buchi, random_arena, random_regular_tree, random_target
+from qualtree.fileformat import (
+    serialize_arena,
+    serialize_automaton,
+    serialize_tree,
+    serialize_word,
+)
+from qualtree.reductions import lift_diagonal, lift_swap
+from qualtree.suite import (
+    random_alternating_buchi,
+    random_arena,
+    random_lasso_word,
+    random_regular_tree,
+    random_simple_pwa,
+    random_target,
+)
 
 
 def write_inputs(seed: int, count: int) -> list[list[str]]:
@@ -54,6 +70,23 @@ def write_inputs(seed: int, count: int) -> list[list[str]]:
         with open(f"e{k}.aut", "w") as fh:
             fh.write(serialize_automaton(aut, buchi(final)))
         commands.append(["check-emptiness", f"e{k}.aut", "--witness", f"e{k}.witness"])
+    sigma = Alphabet(("a", "b"))
+    for k in range(count):
+        pwa = random_simple_pwa(rng, 4, sigma)
+        final = frozenset(q for q in sorted(pwa.states) if rng.random() < 0.5)
+        with open(f"w{k}.word", "w") as fh:
+            fh.write(serialize_word(random_lasso_word(rng, sigma, 3, 4)))
+        with open(f"pt{k}.tree", "w") as fh:
+            fh.write(serialize_tree(random_regular_tree(rng, 6, sigma)))
+        for name, cond in (("buchi", buchi(final)), ("cobuchi", cobuchi(final))):
+            with open(f"p{k}-{name}.aut", "w") as fh:
+                fh.write(serialize_automaton(pwa, cond))
+            commands.append(["word-membership", f"p{k}-{name}.aut", f"w{k}.word"])
+            for lift in (lift_diagonal, lift_swap):
+                path = f"p{k}-{name}-{lift.__name__}.aut"
+                with open(path, "w") as fh:
+                    fh.write(serialize_automaton(lift(pwa), cond))
+                commands.append(["ptree-membership", path, f"pt{k}.tree"])
     return commands
 
 

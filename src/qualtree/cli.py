@@ -317,6 +317,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.horizon < 1:
+        raise FormatError(f"--horizon must be at least 1, not {args.horizon}")
     report = Report(f"simulate {args.input} --seed {args.seed} --horizon {args.horizon}")
     text = _read(args.input)
     first = next((ln.split()[0] for ln in text.splitlines() if ln.split("#", 1)[0].strip()), "")

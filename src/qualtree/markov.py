@@ -4,11 +4,17 @@ An almost-sure verdict for a repeated-visit condition depends only on the
 chain's support graph: a finite chain enters some bottom strongly connected
 component with probability 1 and then visits every state of it infinitely
 often.  So the product chains of an automaton with a lasso word or a
-regular tree carry no weights.  They are explored from their initial state,
-which gets id 0; the other states are numbered in the order they are found,
-and each keeps the ids of its row's support and a marked flag.  Exact
-weights stay where a number is the answer: finite-word acceptance
-probabilities are computed by exact forward propagation.
+regular tree carry no weights.
+
+Both products are built by one explorer, ``_product_chain``, over a graph
+of places: a tree's nodes, or a lasso's positions, where both children of
+position i are the next position.  With the automaton states ranked and
+the places numbered 0 .. |P| - 1, product state (q, p) is the integer
+rank(q)·|P| + p.  States are explored breadth-first from the initial one,
+which gets id 0; the others are numbered in the order they are found, and
+each keeps the ids of its row's support and a marked flag.  Exact weights
+stay where a number is the answer: finite-word acceptance probabilities
+are computed by exact forward propagation.
 """
 
 from __future__ import annotations
@@ -41,22 +47,62 @@ class Chain:
     marked: list
 
 
-def explore(start, row, is_marked) -> Chain:
-    """The chain of the states reachable from ``start``; ``row(s)`` lists
-    the successors of ``s``."""
-    states = [start]
-    ids = {start: 0}
-    succ = []
-    for s in states:  # breadth-first: states grows while it is read
+def _product_chain(a, final, places, label, child0, child1, start, split) -> Chain:
+    """The run chain of ``a`` over a graph of places (lasso positions or tree
+    nodes), explored breadth-first from (``a.initial``, ``places[start]``).
+
+    Place ``p`` reads the symbol ``label[p]`` and has the children
+    ``child0[p]`` and ``child1[p]``, given as indices into ``places``.
+    ``split(q, symbol)`` gives the states that ``q``'s row sends to the
+    first child and those it sends to the second.  Automaton states are
+    ranked as rows name them, the initial state first, and state (q, p) is
+    keyed by rank(q)·|P| + p.  A row is made once per (rank, symbol): its
+    left, right and union targets as ranks times |P|, so that an edge to
+    child c is the key ``y + c``.  Names and marked flags are made once per
+    found state, at the end.
+    """
+    n = len(places)
+    ranks = {a.initial: 0}
+    names = [a.initial]
+    rows: list = [{}]  # by rank: symbol -> (left, right, union)
+
+    def scaled(qs):
         out = []
-        for x in row(s):
-            j = ids.get(x)
-            if j is None:
-                j = ids[x] = len(states)
-                states.append(x)
-            out.append(j)
+        for q in qs:
+            r = ranks.get(q)
+            if r is None:
+                r = ranks[q] = len(names)
+                names.append(q)
+                rows.append({})
+            out.append(r * n)
+        return out
+
+    keys = [start]  # by id; the initial state has rank 0
+    ids = {start: 0}
+    get = ids.get
+    succ = []
+    for x in keys:  # breadth-first: keys grows while it is read
+        r, p = divmod(x, n)
+        row = rows[r].get(label[p])
+        if row is None:
+            left, right = split(names[r], label[p])
+            left, right = scaled(left), scaled(right)
+            row = rows[r][label[p]] = (left, right, list(dict.fromkeys(left + right)))
+        c0, c1 = child0[p], child1[p]
+        out = []
+        for targets, c in ((row[2], c0),) if c0 == c1 else ((row[0], c0), (row[1], c1)):
+            for y in targets:
+                y += c
+                j = get(y)
+                if j is None:
+                    j = ids[y] = len(keys)
+                    keys.append(y)
+                out.append(j)
         succ.append(out)
-    return Chain(states, succ, [is_marked(s) for s in states])
+    del ids, get  # free the id table before the names are made
+    is_final = [q in final for q in names]
+    return Chain([(names[x // n], places[x % n]) for x in keys], succ,
+                 [is_final[x // n] for x in keys])
 
 
 def bsccs(m: Chain) -> list[list[int]]:
@@ -95,21 +141,19 @@ def acceptance_probability(a: ProbWordAutomaton, final: frozenset, u: tuple) -> 
 
 
 def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> Chain:
-    """The run chain over w; its states are (automaton state, lasso position)."""
+    """The run chain over w; its states are (automaton state, lasso position).
+
+    Both children of position i are the next position, i + 1 or, at the end
+    of the lasso, the first position of its period.
+    """
     k, n = len(w.prefix), len(w)
-    symbols = w.take(n)
-    rows: dict = {}  # (state, symbol) -> support
+    nxt = [i + 1 for i in range(n - 1)] + [k]
 
-    def row(s):
-        q, i = s
-        key = (q, symbols[i])
-        targets = rows.get(key)
-        if targets is None:
-            targets = rows[key] = tuple(a.dist(*key))
-        j = i + 1 if i + 1 < n else k
-        return [(q2, j) for q2 in targets]
+    def split(q, symbol):
+        targets = tuple(a.dist(q, symbol))
+        return targets, targets
 
-    return explore((a.initial, 0), row, lambda s: s[0] in final)
+    return _product_chain(a, final, list(range(n)), w.take(n), nxt, nxt, 0, split)
 
 
 def lasso_membership_word(
@@ -125,23 +169,16 @@ def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> Chain:
     A split target (q0, q1) at node n leads to (q0, succ0[n]) and to
     (q1, succ1[n]).
     """
-    splits: dict = {}  # (state, symbol) -> (left targets, right targets, both)
+    index = {v: i for i, v in enumerate(t.nodes)}
 
-    def row(s):
-        q, n = s
-        key = (q, t.label[n])
-        split = splits.get(key)
-        if split is None:
-            pairs = tuple(a.dist(*key))
-            left = dict.fromkeys(q0 for q0, _ in pairs)
-            right = dict.fromkeys(q1 for _, q1 in pairs)
-            split = splits[key] = (tuple(left), tuple(right), tuple(left | right))
-        c0, c1 = t.succ0[n], t.succ1[n]
-        if c0 == c1:
-            return [(x, c0) for x in split[2]]
-        return [(x, c0) for x in split[0]] + [(x, c1) for x in split[1]]
+    def split(q, symbol):
+        pairs = tuple(a.dist(q, symbol))
+        return dict.fromkeys(q0 for q0, _ in pairs), dict.fromkeys(q1 for _, q1 in pairs)
 
-    return explore((a.initial, t.root), row, lambda s: s[0] in final)
+    return _product_chain(
+        a, final, t.nodes, [t.label[v] for v in t.nodes],
+        [index[t.succ0[v]] for v in t.nodes], [index[t.succ1[v]] for v in t.nodes],
+        index[t.root], split)
 
 
 def prob_tree_membership(

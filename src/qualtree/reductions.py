@@ -6,6 +6,9 @@ two-sided split relation carry a word automaton onto trees; the ordered
 embedding re-expresses almost-sure co-Buchi acceptance inside the
 mixed-clause acceptance model.  All constructions preserve simplicity
 where the sources are simple, and all are deterministic in their inputs.
+A source outside a construction's domain (a distribution that is neither a
+point mass nor an even split, or a separator already in the alphabet) is
+malformed input and raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from qualtree.automata import (
     split_form,
 )
 from qualtree.dist import Distribution
+from qualtree.errors import FormatError
 from qualtree.games import StochasticArena
 from qualtree.ordering import csorted
 from qualtree.trees import RegularTree
@@ -35,8 +39,8 @@ def _fresh(base: str, taken) -> str:
 
 def _require_simple(a: ProbWordAutomaton, what: str):
     if not is_simple(a):
-        raise ValueError(f"{what} requires a simple automaton "
-                         "(point masses and even splits only)")
+        raise FormatError(f"{what} requires a simple automaton "
+                          "(point masses and even splits only)")
 
 
 def sharps_automaton(sigma: Alphabet, sharp: str) -> tuple[ProbWordAutomaton, frozenset]:
@@ -48,7 +52,7 @@ def sharps_automaton(sigma: Alphabet, sharp: str) -> tuple[ProbWordAutomaton, fr
     the words with infinitely many separators.
     """
     if sharp in sigma:
-        raise ValueError(f"separator {sharp!r} collides with the alphabet")
+        raise FormatError(f"separator {sharp!r} collides with the alphabet")
     full = sigma.extend(sharp)
     delta = {}
     for s in full:
@@ -76,7 +80,7 @@ def sharp_gadget(
     """
     _require_simple(a, "the separator gadget")
     if sharp in a.alphabet:
-        raise ValueError(f"separator {sharp!r} collides with the alphabet")
+        raise FormatError(f"separator {sharp!r} collides with the alphabet")
     retry = _fresh(a.initial + "'", a.states)
     full = a.alphabet.extend(sharp)
     delta = {}
@@ -148,9 +152,9 @@ def _split_pairs(a: ProbWordAutomaton, what: str) -> dict:
         for s in a.alphabet:
             pair = split_form(a.dist(q, s))
             if pair is None:
-                raise ValueError(f"{what} requires a simple automaton; "
-                                 f"distribution at ({q}, {s}) is neither a point "
-                                 "mass nor an even split")
+                raise FormatError(f"{what} requires a simple automaton; "
+                                  f"distribution at ({q}, {s}) is neither a point "
+                                  "mass nor an even split")
             pairs[(q, s)] = pair
     return pairs
 

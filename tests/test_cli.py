@@ -254,6 +254,35 @@ def test_simulate_word_and_tree(files):
     assert code == 0 and "samples: a s a s" in out
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+@pytest.mark.parametrize("kind", ["tree", "word"])
+def test_simulate_rejects_horizon_below_one(files, kind, horizon):
+    code, out = run_cli("simulate", str(files[kind]), "--seed", "1", "--horizon", horizon)
+    assert code == 2 and "samples" not in out
+
+
+NOT_SIMPLE = ("kind prob-word\nalphabet a\nstates q0 q1\ninitial q0\naccept buchi q1\n"
+              "ptrans q0 a 1/3 q0 2/3 q1\nptrans q1 a 1 q1\n")
+
+
+@pytest.mark.parametrize("transform", ["lift1", "lift2", "sharp", "value1", "universalize"])
+def test_reduce_of_an_automaton_that_is_not_simple_is_malformed(tmp_path, transform):
+    p = tmp_path / "not-simple.aut"
+    p.write_text(NOT_SIMPLE)
+    out_path = tmp_path / "out.aut"
+    code, out = run_cli("reduce", transform, str(p), str(out_path))
+    assert code == 2 and "output-digest" not in out
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("transform", ["sharp", "value1"])
+def test_reduce_with_a_separator_in_the_alphabet_is_malformed(files, tmp_path, transform):
+    out_path = tmp_path / "out.aut"
+    code, out = run_cli("reduce", transform, str(files["detector"]), str(out_path), "--sharp", "a")
+    assert code == 2 and "output-digest" not in out
+    assert not out_path.exists()
+
+
 def test_reports_are_reproducible(files):
     code1, out1 = run_cli("check-emptiness", str(files["conflict"]))
     code2, out2 = run_cli("check-emptiness", str(files["conflict"]))

@@ -28,6 +28,8 @@ from weighted_chains import (
     oracle_bottoms,
     reachable_part,
     support_chain,
+    tuple_tree_chain,
+    tuple_word_chain,
     weighted_named,
     weighted_tree_chain,
 )
@@ -289,6 +291,50 @@ def test_chain_builders_match_full_product_oracle():
             assert named_bottoms(fast) == bottoms
             assert as_verdict(fast, "buchi") == all(c & full.marked for c in bottoms)
             assert as_verdict(fast, "cobuchi") == (not any(c & full.marked for c in bottoms))
+
+
+def _built(build, a, final, x):
+    """The chain, or the message of the missing-row error that stopped it."""
+    try:
+        return build(a, final, x)
+    except KeyError as e:
+        return str(e)
+
+
+def _without_a_row(rng, a):
+    """a with one transition row removed, picked at random."""
+    delta = dict(a.delta)
+    del delta[rng.choice(sorted(delta))]
+    return type(a)(a.alphabet, a.states, a.initial, delta)
+
+
+def test_chain_builders_equal_tuple_keyed_builders():
+    """Same states, successor ids and marked flags, id for id, as the
+    builders keyed by (state, place) tuples; and the same error where a
+    transition row is missing."""
+    rng = random.Random(41)
+    split_rng = random.Random(43)
+    sigma = Alphabet(("a", "b"))
+    for _ in range(80):
+        a = random_simple_pwa(rng, 5, sigma)
+        final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
+        w = random_lasso_word(rng, sigma, 4, 5)
+        plain = random_regular_tree(rng, 8, sigma)
+        shuffled = _with_unreachable_nodes(rng, plain, sigma, 3)
+        b = _random_split_automaton(split_rng, 4, sigma)
+        b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
+        cases = [(word_chain, tuple_word_chain, a, final, w)]
+        for t in (plain, shuffled, tree_from_word(w)):
+            for lift in (lift_diagonal, lift_swap):
+                cases.append((tree_chain, tuple_tree_chain, lift(a), final, t))
+            cases.append((tree_chain, tuple_tree_chain, b, b_final, t))
+        for fast, oracle, aut, marked, x in cases:
+            chain, expected = fast(aut, marked, x), oracle(aut, marked, x)
+            assert chain.states == expected.states
+            assert chain.succ == expected.succ
+            assert chain.marked == expected.marked
+            broken = _without_a_row(rng, aut)
+            assert _built(fast, broken, marked, x) == _built(oracle, broken, marked, x)
 
 
 def test_qualitative_verdicts_depend_only_on_support():
