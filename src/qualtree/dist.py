@@ -58,16 +58,6 @@ class Distribution:
         """The even split over x and y; collapses to a point mass when x == y."""
         return cls._trusted({x: _ONE} if x == y else {x: _HALF, y: _HALF})
 
-    @classmethod
-    def mix(cls, parts: Iterable[tuple[Fraction, "Distribution"]]) -> "Distribution":
-        """Convex combination, merging like terms across the parts."""
-        acc: dict = {}
-        for coeff, d in parts:
-            coeff = exact(coeff)
-            for x, w in d._w.items():
-                acc[x] = acc.get(x, Fraction(0)) + coeff * w
-        return cls(acc)
-
     def mass(self) -> Fraction:
         return sum(self._w.values(), Fraction(0))
 
@@ -88,11 +78,6 @@ class Distribution:
     def map(self, fn) -> "Distribution":
         """Push forward along fn, merging collisions."""
         return Distribution([(fn(x), w) for x, w in self._w.items()])
-
-    def relabel(self, fn) -> "Distribution":
-        """Push forward along an injective fn: nothing merges, so the
-        weights are kept as they are, without checking them again."""
-        return Distribution._trusted({fn(x): w for x, w in self._w.items()})
 
     def __getitem__(self, x) -> Fraction:
         return self._w.get(x, Fraction(0))

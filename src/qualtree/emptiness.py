@@ -13,24 +13,28 @@ into a regular witness tree.
 Strategy semantics here is the normative anchor: a pure strategy with
 knowledge-set memory either passes or fails the exact product check
 `check_observation_strategy`.  The solver searches that strategy space
-directly, after two sound short-cuts (a full-information upper bound, run
-before any knowledge set is explored, and a sure-winning knowledge-game
-lower bound).  The sure-winning short-cut and the search run on integer
-ids (vertices, knowledge sets and actions numbered once) and on supports,
-since a refutation only asks whether a target-free end component exists;
-every strategy they return still passes `check_observation_strategy`.
-The search refutes each partial table on its product with the knowledge
-sets, assembled from rows built once per (knowledge set, action) and not
-walked breadth-first: the search assigns only knowledge sets its earlier
-assignments reach, so every pair of an assigned knowledge set and one of
-its members is reachable.
-The blunt enumeration in `solve_by_enumeration` shares only the
-backtracking order and re-derives every verdict with that exact check.
+directly, on the game numbered once (`number_game`), where a knowledge set
+is an int bitmask of vertex ids and its post under an action is the OR of
+its members' successor masks, split by observation class.  Two sound
+short-cuts come first: a full-information upper bound, an integer
+`games.Arena` solved before any knowledge set is explored, and a
+sure-winning lower bound on the knowledge-set game.  The search refutes
+each partial table on its product with the knowledge sets, assembled from
+rows built once per (knowledge set, action) and not walked breadth-first:
+the search assigns only knowledge sets its earlier assignments reach, so
+every pair of an assigned knowledge set and one of its members is
+reachable.  All of this runs on supports, since a refutation only asks
+whether a target-free end component exists.  Names come back at the edge:
+a winning table becomes a strategy on knowledge sets of vertex names,
+which still passes `check_observation_strategy`.  The blunt enumeration in
+`solve_by_enumeration` walks knowledge sets of names, shares only the
+backtracking order, and re-derives every verdict with that exact check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from qualtree.acceptance import qualitative_membership
@@ -41,9 +45,12 @@ from qualtree.automata import (
 from qualtree.dist import Distribution
 from qualtree.errors import DisagreementError, FormatError, ResourceLimit
 from qualtree.games import (
+    OWN_ABELARD,
+    OWN_ELOISE,
+    OWN_RANDOM,
+    Arena,
     MdpView,
-    StochasticArena,
-    _attractor,
+    _as_buchi_core,
     _positive_cobuchi_view,
     almost_sure_buchi,
     mec_decomposition,
@@ -122,6 +129,15 @@ class ImperfectInfoArena:
                     if not d.support() <= vs:
                         raise ValueError(f"transition at ({v!r}, {a!r}) leaves arena")
 
+    @classmethod
+    def _trusted(cls, vertices, initial, actions, trans, obs) -> "ImperfectInfoArena":
+        """Build without the checks of the constructor, for arenas valid by
+        construction; hand-built arenas still go through the constructor."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, initial=initial, actions=actions,
+                          trans=trans, obs=obs)
+        return g
+
     def observation_classes(self) -> dict:
         classes: dict = {}
         for v in self.vertices:
@@ -153,12 +169,14 @@ def build_emptiness_game(
     with the same direction are indistinguishable.  Actions pair a tree
     symbol with a local choice for every protagonist state.
     """
-    rows: dict = {}
-    for q in a.states:
-        for s in a.alphabet:
-            rows[(q, s)] = a.rows(q, s)
-            if not rows[(q, s)]:
-                raise FormatError(f"no transition for state {q} on symbol {s}")
+    rows: dict = {(q, s): [] for q in a.states for s in a.alphabet}
+    for t in a.transitions:
+        if (t[0], t[1]) in rows:
+            rows[(t[0], t[1])].append(t)
+    for (q, s), ts in rows.items():
+        if not ts:
+            raise FormatError(f"no transition for state {q} on symbol {s}")
+        rows[(q, s)] = csorted(ts)  # as `a.rows(q, s)` lists them
 
     e_states = csorted(a.eloise)
     n_actions = 0
@@ -170,32 +188,31 @@ def build_emptiness_game(
     if n_actions > action_cap:
         raise ResourceLimit("action set size", action_cap)
 
+    def flip(q0: str, q1: str) -> Distribution:
+        return Distribution.half_half((q0, "0"), (q1, "1"))
+
+    # an opponent state's row on a symbol is the same for every action
+    theirs = {(q, s): tuple(flip(q0, q1) for (_, _, q0, q1) in rows[(q, s)])
+              for q in a.states if q not in a.eloise for s in a.alphabet}
     actions = []
+    mine: list = []  # per action, {protagonist state: its one distribution}
     for s in a.alphabet:
         for combo in itertools.product(*(rows[(q, s)] for q in e_states)):
-            tau = LocalChoice.of({q: (t[2], t[3]) for q, t in zip(e_states, combo)})
-            actions.append(EmptinessAction(s, tau))
+            targets = {q: (t[2], t[3]) for q, t in zip(e_states, combo)}
+            actions.append(EmptinessAction(s, LocalChoice.of(targets)))
+            mine.append({q: (flip(*qs),) for q, qs in targets.items()})
 
     root = (a.initial, EPS_OBS)
     vertices = [root] + [(q, d) for q in csorted(a.states) for d in DIRECTIONS]
     obs = {v: v[1] for v in vertices}
-
-    def flip(q0: str, q1: str) -> Distribution:
-        return Distribution.half_half((q0, "0"), (q1, "1"))
-
     trans: dict = {}
     for v in vertices:
         q = v[0]
-        for act in actions:
-            if q in a.eloise:
-                q0, q1 = act.choice.get(q)
-                trans[(v, act)] = (flip(q0, q1),)
-            else:
-                trans[(v, act)] = tuple(
-                    flip(q0, q1) for (_, _, q0, q1) in rows[(q, act.symbol)]
-                )
+        for act, own in zip(actions, mine):
+            trans[(v, act)] = own[q] if q in own else theirs[(q, act.symbol)]
 
-    arena = ImperfectInfoArena(
+    # valid by construction: every row was checked non-empty above
+    arena = ImperfectInfoArena._trusted(
         vertices=tuple(vertices),
         initial=root,
         actions=tuple(actions),
@@ -275,6 +292,62 @@ def check_observation_strategy(
 
 
 # ---------------------------------------------------------------------------
+# The game numbered once.
+# ---------------------------------------------------------------------------
+
+
+class NumberedGame(namedtuple("NumberedGame", "g initial obs observations classes moves post target")):
+    """An `ImperfectInfoArena` `g` with its target, numbered once.
+
+    Vertex ids follow `g.vertices`, action ids `g.actions`, and observation
+    codes the canonical order of the observations.  A set of vertices is an
+    int bitmask, bit v for vertex id v.  Entry v * |actions| + a of `moves`
+    and `post` belongs to vertex id v under action id a.
+
+    - `initial`: the initial vertex id;
+    - `obs`: vertex id -> observation code;
+    - `observations`: observation code -> observation;
+    - `classes`: observation code -> mask of its vertices;
+    - `moves`: (v, a) entry -> per opponent choice, the tuple of successor ids;
+    - `post`: (v, a) entry -> mask of every successor;
+    - `target`: mask of the target's vertices.
+    """
+
+    __slots__ = ()
+
+
+def number_game(g: ImperfectInfoArena, target) -> NumberedGame:
+    """`g` and `target` numbered once; target vertices outside `g` are ignored."""
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    observations = tuple(csorted(set(g.obs.values())))
+    code = {o: i for i, o in enumerate(observations)}
+    obs = tuple(code[g.obs[v]] for v in g.vertices)
+    classes = tuple(_mask(v for v, c in enumerate(obs) if c == o) for o in range(len(observations)))
+    moves = []
+    for v in g.vertices:
+        for a in g.actions:
+            moves.append(tuple(tuple(vid[w] for w in d) for d in g.trans[(v, a)]))
+    post = tuple(_mask(w for support in supports for w in support) for supports in moves)
+    return NumberedGame(g, vid[g.initial], obs, observations, classes, tuple(moves), post,
+                        _mask(vid[v] for v in target if v in vid))
+
+
+def _mask(ids) -> int:
+    """The bitmask of a set of ids; repeated ids count once."""
+    return sum(1 << v for v in set(ids))
+
+
+def _bits(mask: int) -> list:
+    """The ids of a mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Knowledge sets.
 # ---------------------------------------------------------------------------
 
@@ -283,13 +356,45 @@ def initial_belief(g: ImperfectInfoArena) -> frozenset:
     return frozenset({g.initial})
 
 
-def reachable_beliefs(g: ImperfectInfoArena, cap: int):
-    """Breadth-first knowledge-set exploration.
+def reachable_beliefs(n: NumberedGame, cap: int):
+    """Breadth-first knowledge-set exploration on masks.
 
-    Returns the discovery-ordered belief list and the successor table
-    {(belief, action): {observation: belief}}, each inner dict in canonical
-    observation order.  One walk over a knowledge set's transitions per
-    action buckets the successors by observation.
+    Returns the knowledge sets as masks, in discovery order, and the
+    successor table {(knowledge-set id, action id): {observation code:
+    knowledge-set id}}, each inner dict in canonical observation order.
+    The post of a knowledge set under an action is the OR of its members'
+    successor masks, split by observation class.
+    """
+    n_a, step, classes = len(n.g.actions), n.post, n.classes
+    masks = [1 << n.initial]
+    seen = {masks[0]: 0}
+    post: dict = {}
+    for b, mask in enumerate(masks):  # breadth-first: masks grows while it is read
+        rows = [v * n_a for v in _bits(mask)]
+        for a in range(n_a):
+            reach = 0
+            for r in rows:
+                reach |= step[r + a]
+            branches = post[(b, a)] = {}
+            for o, cls in enumerate(classes):
+                m2 = reach & cls
+                if m2:
+                    b2 = seen.get(m2)
+                    if b2 is None:
+                        b2 = seen[m2] = len(masks)
+                        masks.append(m2)
+                        if len(masks) > cap:
+                            raise ResourceLimit("reachable knowledge sets", cap)
+                    branches[o] = b2
+    return masks, post
+
+
+def _named_beliefs(g: ImperfectInfoArena, cap: int):
+    """The same exploration on frozensets of vertices, for the oracle.
+
+    Returns the discovery-ordered knowledge-set list and the successor table
+    {(knowledge set, action): {observation: knowledge set}}, each inner dict
+    in canonical observation order.
     """
     rank = {o: i for i, o in enumerate(csorted(set(g.obs.values())))}
     b0 = initial_belief(g)
@@ -360,6 +465,21 @@ def _materialize(g: ImperfectInfoArena, assign: dict, post: dict) -> Observation
     )
 
 
+def _named_strategy(n: NumberedGame, masks: list, table: dict, post: dict) -> ObservationStrategy:
+    """A closed table on ids as an ObservationStrategy on knowledge sets of
+    vertex names: only the knowledge sets it reaches get their names back."""
+    g = n.g
+    reached, _ = _reached(0, table, post)
+    name = {b: frozenset(g.vertices[v] for v in _bits(masks[b])) for b in reached}
+    assign = {name[b]: g.actions[table[b]] for b in reached}
+    named = {
+        (name[b], g.actions[table[b]]):
+            {n.observations[o]: name[b2] for o, b2 in post[(b, table[b])].items()}
+        for b in reached
+    }
+    return _materialize(g, assign, named)
+
+
 def _closed_tables(root, post: dict, actions, refuted=None):
     """Every closed per-belief action table, depth-first.
 
@@ -389,18 +509,7 @@ def _closed_tables(root, post: dict, actions, refuted=None):
             return
 
 
-def _number_post(g: ImperfectInfoArena, beliefs: list, post: dict) -> dict:
-    """The knowledge-set successor table on ids: knowledge sets by discovery
-    order, actions by their order in `g.actions`."""
-    bid = {b: i for i, b in enumerate(beliefs)}
-    aid = {a: i for i, a in enumerate(g.actions)}
-    return {
-        (bid[b], aid[a]): {o: bid[b2] for o, b2 in branches.items()}
-        for (b, a), branches in post.items()
-    }
-
-
-def _table_refuter(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
+def _table_refuter(n: NumberedGame, masks: list, post: dict):
     """Refutation of partial tables on ids: `refuted(table)` is true when a
     target-free end component of pairs whose knowledge set the table assigns
     survives every completion.
@@ -418,15 +527,7 @@ def _table_refuter(g: ImperfectInfoArena, target: frozenset, beliefs: list, post
     only, so pairs of unassigned ones, whatever row they last had, lie in
     none.
     """
-    n_act, n_v = len(g.actions), len(g.vertices)
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    # (vertex id * n_act + action id) -> per opponent choice, (successor id, observation)
-    moves = [
-        tuple(tuple((vid[v2], g.obs[v2]) for v2 in d.support()) for d in g.trans[(v, a)])
-        for v in g.vertices
-        for a in g.actions
-    ]
-    in_target = [v in target for v in g.vertices]
+    n_act, n_v, obs = len(n.g.actions), len(n.obs), n.obs
     index: dict = {}  # knowledge-set id * n_v + vertex id -> pair id
     pairs: list = []  # pair id -> (vertex id, knowledge-set id)
     prod: list = []  # pair id -> moves in the row last placed for its knowledge set
@@ -443,14 +544,14 @@ def _table_refuter(g: ImperfectInfoArena, target: frozenset, beliefs: list, post
 
     def row(b: int, a: int) -> tuple:
         branches = post[(b, a)]
-        members = sorted(vid[v] for v in beliefs[b])
+        members = _bits(masks[b])
         ids = [pair(v, b) for v in members]
         mvs = [
-            tuple(frozenset(pair(v2, branches[o]) for v2, o in support)
-                  for support in moves[v * n_act + a])
+            tuple(frozenset(pair(v2, branches[obs[v2]]) for v2 in support)
+                  for support in n.moves[v * n_act + a])
             for v in members
         ]
-        safe = frozenset(j for v, j in zip(members, ids) if not in_target[v])
+        safe = frozenset(j for v, j in zip(members, ids) if not n.target >> v & 1)
         return ids, mvs, safe
 
     def refuted(table: dict) -> bool:
@@ -471,14 +572,14 @@ def _table_refuter(g: ImperfectInfoArena, target: frozenset, beliefs: list, post
     return refuted
 
 
-def _search_belief_table(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
+def _search_belief_table(n: NumberedGame, masks: list, post: dict):
     """Backtracking search for a winning per-belief action table on ids.
 
     Partial tables refuted by a target-free end component are cut, so the
     first closed table the search reaches wins; None when there is none.
     """
-    refuted = _table_refuter(g, target, beliefs, post)
-    tables = _closed_tables(0, post, range(len(g.actions)), refuted)
+    refuted = _table_refuter(n, masks, post)
+    tables = _closed_tables(0, post, range(len(n.g.actions)), refuted)
     return next(tables, None)  # never resumed, so the live table stays as found
 
 
@@ -487,88 +588,54 @@ def _search_belief_table(g: ImperfectInfoArena, target: frozenset, beliefs: list
 # ---------------------------------------------------------------------------
 
 
-def _full_information_arena(g: ImperfectInfoArena, target: frozenset):
+def _full_information_arena(n: NumberedGame) -> Arena:
     """Perfect-information relaxation; winning here is necessary for the
-    blind protagonist to win.  Built from supports, in the order of `g`,
-    without the arena checks: `g` was checked when it was made."""
-    lift = {v: ("p", v) for v in g.vertices}
-    ve, va, vr = set(lift.values()), set(), set()
-    edges: dict = {}
-    dist: dict = {}
-    for v in g.vertices:
-        edges[lift[v]] = tuple(("c", v, a) for a in g.actions)
-        for a in g.actions:
-            cv = ("c", v, a)
-            va.add(cv)
-            ds = g.trans[(v, a)]
-            edges[cv] = tuple(("z", v, a, i) for i in range(len(ds)))
-            for i, d in enumerate(ds):
-                zv = ("z", v, a, i)
-                vr.add(zv)
-                dist[zv] = d.relabel(lift.__getitem__)
-                edges[zv] = tuple(lift[v2] for v2 in d)
-    arena = StochasticArena._trusted(
-        eloise=frozenset(ve),
-        abelard=frozenset(va),
-        random=frozenset(vr),
-        edges=edges,
-        dist=dist,
-        initial=lift[g.initial],
-    )
-    return arena, frozenset(lift[v] for v in target)
+    blind protagonist to win.
+
+    Vertex id v is the protagonist's.  She picks an action a, node
+    |V| + v * |A| + a of the opponent, who picks one of the (v, a) moves, a
+    coin node whose successors are that move's support.
+    """
+    n_v, n_a = len(n.obs), len(n.g.actions)
+    succ: list = [tuple(range(n_v + v * n_a, n_v + (v + 1) * n_a)) for v in range(n_v)]
+    coins: list = []
+    nxt = n_v + len(n.moves)
+    for supports in n.moves:
+        succ.append(tuple(range(nxt, nxt + len(supports))))
+        nxt += len(supports)
+        coins += supports
+    owner = bytes([OWN_ELOISE] * n_v + [OWN_ABELARD] * len(n.moves) + [OWN_RANDOM] * len(coins))
+    return Arena(succ + coins, owner, n.initial)
 
 
-def _wins_full_information(g, target) -> bool:
-    arena, tgt = _full_information_arena(g, target)
-    region, _ = almost_sure_buchi(arena, tgt)
-    return arena.initial in region
+def _wins_full_information(n: NumberedGame) -> bool:
+    region, _ = almost_sure_buchi(_full_information_arena(n), frozenset(_bits(n.target)))
+    return n.initial in region
 
 
-def _sure_belief_strategy(g: ImperfectInfoArena, target: frozenset, beliefs: list, post: dict):
+def _sure_belief_strategy(n: NumberedGame, masks: list, post: dict):
     """Sure-winning play on knowledge sets alone: if every knowledge set on
     every play can be driven through all-target sets infinitely often, the
     underlying blind strategy wins outright.  Sound, not complete.
 
-    The knowledge-set game runs on ids: knowledge set b is node b, owned by
-    the protagonist, and the pair (b, action a) is node B + b*A + a, owned by
-    the opponent, who picks the next observation.  Returns a table
+    The knowledge-set game is an `Arena` with no coin: knowledge set b is
+    the protagonist's node b, and the pair (b, action a) is the opponent's
+    node B + b*A + a, who picks the next observation.  Its almost-sure
+    Büchi region is then the sure one.  Each knowledge set lists its pairs
+    in canonical action order, so the core's choice, the witness or the
+    first staying pair, is the canonically least.  Returns a table
     {knowledge-set id: action id}, or None.
     """
-    n_b, n_a = len(beliefs), len(g.actions)
-    # (b, a) nodes in canonical action order: the attractor's witness is then
-    # the canonically least action of the round the knowledge set joined in
-    canonical = sorted(range(n_a), key=lambda a: ckey(g.actions[a]))
-    succ = [[n_b + b * n_a + a for a in canonical] for b in range(n_b)]
-    succ += [list(post[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
-    pred: list = [[] for _ in succ]
-    for v, ws in enumerate(succ):
-        for w in ws:
-            pred[w].append(v)
-    goal = {b for b in range(n_b) if beliefs[b] <= target}
-    region = set(range(len(succ)))
-    knowledge = [v < n_b for v in range(len(succ))]
-    pairs = [not k for k in knowledge]
-    while True:
-        attr, witness = _attractor(succ, pred, region, goal & region, knowledge)
-        lost = region.difference(attr)
-        if not lost:
-            break
-        trap, _ = _attractor(succ, pred, region, lost, pairs)
-        region.difference_update(trap)
-        if 0 not in region:
-            return None
-
-    table: dict = {}
-    for b in range(n_b):
-        if b not in region:
-            continue
-        if b in witness:
-            table[b] = witness[b] - n_b - b * n_a
-        else:
-            stay = [a for a in range(n_a) if n_b + b * n_a + a in region]
-            if not stay:
-                return None
-            table[b] = stay[0]
+    n_b, n_a = len(masks), len(n.g.actions)
+    canonical = sorted(range(n_a), key=lambda a: ckey(n.g.actions[a]))
+    succ = [tuple(n_b + b * n_a + a for a in canonical) for b in range(n_b)]
+    succ += [tuple(post[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
+    owner = bytes([OWN_ELOISE] * n_b + [OWN_ABELARD] * (n_b * n_a))
+    goal = frozenset(b for b, mask in enumerate(masks) if not mask & ~n.target)
+    region, choice = _as_buchi_core(Arena(succ, owner, 0), goal)
+    if 0 not in region:
+        return None
+    table = {b: w - n_b - b * n_a for b, w in choice.items()}
     if _reached(0, table, post)[1] is not None:
         return None
     return table
@@ -585,22 +652,24 @@ def solve_imperfect_buchi(
     """Decide almost-sure repeated reach for the blind protagonist.
 
     Verdict true iff some pure knowledge-set strategy passes the exact
-    product check; the returned witness always does.  The full-information
-    refutation runs first, so it needs no knowledge sets; the sure-winning
-    short-cut and the search then run on integer ids.
+    product check; the returned witness always does.  The game is numbered
+    once.  The full-information refutation runs first, so it needs no
+    knowledge sets; the sure-winning short-cut and the search then run on
+    knowledge-set masks and ids.
     """
     target = frozenset(target)
-    if not target or not _wins_full_information(g, target):
+    if not target:
         return False, None
-    beliefs, post = reachable_beliefs(g, belief_cap)
-    ids = _number_post(g, beliefs, post)
-    table = _sure_belief_strategy(g, target, beliefs, ids)
+    n = number_game(g, target)
+    if not _wins_full_information(n):
+        return False, None
+    masks, post = reachable_beliefs(n, belief_cap)
+    table = _sure_belief_strategy(n, masks, post)
     if table is None:
-        table = _search_belief_table(g, target, beliefs, ids)
+        table = _search_belief_table(n, masks, post)
     if table is None:
         return False, None
-    assign = {beliefs[b]: g.actions[a] for b, a in table.items()}
-    strat = _materialize(g, assign, post)
+    strat = _named_strategy(n, masks, table, post)
     if not check_observation_strategy(g, target, strat):
         raise DisagreementError("synthesised strategy failed its own check")
     return True, strat
@@ -614,7 +683,7 @@ def solve_by_enumeration(
     target = frozenset(target)
     if not target:
         return False, None
-    _, post = reachable_beliefs(g, belief_cap)
+    _, post = _named_beliefs(g, belief_cap)
     for assign in _closed_tables(initial_belief(g), post, list(g.actions)):
         strat = _materialize(g, assign, post)
         if check_observation_strategy(g, target, strat):
@@ -634,7 +703,7 @@ def enumerate_bit_enriched(
     target = frozenset(target)
     if not target:
         return False, None
-    _, post = reachable_beliefs(g, belief_cap)
+    _, post = _named_beliefs(g, belief_cap)
     actions = list(g.actions)
     m0 = (initial_belief(g), 0)
 

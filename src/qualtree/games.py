@@ -286,13 +286,6 @@ def _positive_avoid_view(view: MdpView, target: frozenset) -> bool:
     return any(c & reach for c in mec_decomposition(view, within=safe))
 
 
-def controller_positive_buchi(m: Mdp, target: frozenset) -> bool:
-    """True iff the controller can visit the target infinitely often with
-    positive probability (some reachable MEC meets the target)."""
-    view = view_of_mdp(m)
-    return _positive_buchi_view(view, _ids(view, target))
-
-
 def controller_positive_cobuchi(m: Mdp, target: frozenset) -> bool:
     """True iff the controller can, with positive probability, eventually
     avoid the target forever.
@@ -514,45 +507,6 @@ def almost_sure_cobuchi(g, target, choice_bound: int = 2**20) -> bool:
         if not _positive_buchi_view(MdpView(states, a.initial, moves), goal):
             return True
     return False
-
-
-def buchi_to_reachability(g: StochasticArena, target) -> tuple[StochasticArena, frozenset]:
-    """Gadget turning repeated reach into plain reach, almost-surely.
-
-    Every target vertex s gets a fresh random gate with an even split
-    between s and a single absorbing goal vertex, and every edge into s is
-    rerouted through the gate.  Visiting targets infinitely often then
-    reaches the goal almost surely, and conversely.
-    """
-    target = frozenset(target) & g.vertices
-    goal = ("goal",)
-    gate = {s: ("gate", s) for s in target}
-    if goal in g.vertices or any(x in g.vertices for x in gate.values()):
-        raise ValueError("gadget vertex names collide with the arena")
-
-    def reroute(w):
-        return gate[w] if w in target else w
-
-    edges = {}
-    dist = {}
-    for v in g.edges:
-        edges[v] = tuple(reroute(w) for w in g.edges[v])
-        if v in g.random:
-            dist[v] = g.dist[v].map(reroute)
-    for s in target:
-        edges[gate[s]] = (goal, s)
-        dist[gate[s]] = Distribution.half_half(goal, s)
-    edges[goal] = (goal,)
-
-    g2 = StochasticArena._trusted(
-        eloise=g.eloise | {goal},
-        abelard=g.abelard,
-        random=g.random | frozenset(gate.values()),
-        edges=edges,
-        dist=dist,
-        initial=g.initial,
-    )
-    return g2, frozenset({goal})
 
 
 def with_initial(g: StochasticArena, v) -> StochasticArena:

@@ -21,7 +21,7 @@ from qualtree.automata import (
 from qualtree.dist import Distribution
 from qualtree.emptiness import build_emptiness_game, fully_observable, solve_imperfect_buchi
 from qualtree.gallery import contradictory_uniformity_automaton
-from qualtree.games import almost_sure_buchi, almost_sure_reach, buchi_to_reachability
+from qualtree.games import almost_sure_buchi, almost_sure_reach
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
 from qualtree.markov import acceptance_probability, lasso_membership_word
 from qualtree.reductions import (
@@ -42,6 +42,7 @@ from qualtree.suite import (
     random_tree_automaton,
 )
 from qualtree.trees import lasso, sampled_branch_lasso, tree_from_word
+from arena_oracles import buchi_to_reachability
 from weighted_chains import weighted_tree_chain
 
 AB = Alphabet(("a", "b"))

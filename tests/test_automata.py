@@ -46,7 +46,6 @@ def test_trusted_builders_equal_the_validated_construction(x, y):
     assert d == half and hash(d) == hash(half)
     assert d.require_probability() is d and list(d) == list(dict.fromkeys([x, y]))
     assert Distribution.point(x) == Distribution({x: 1})
-    assert d.relabel(lambda v: ("p", v)) == half.map(lambda v: ("p", v))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6))

@@ -29,19 +29,22 @@ from qualtree.emptiness import (
     initial_belief,
     reachable_beliefs,
     solve_by_enumeration,
+    number_game,
     solve_imperfect_buchi,
+    _bits,
     _closed_tables,
+    _full_information_arena,
     _materialize,
-    _number_post,
+    _named_beliefs,
     _reached,
     _search_belief_table,
     _sure_belief_strategy,
     _table_refuter,
     _wins_full_information,
 )
-from qualtree.errors import ResourceLimit
+from qualtree.errors import FormatError, ResourceLimit
 from qualtree.dist import Distribution
-from qualtree.games import MdpView, _attractor, mec_decomposition
+from qualtree.games import MdpView, _attractor, almost_sure_buchi, mec_decomposition
 from qualtree.ordering import ckey, csorted
 from qualtree.gallery import (
     contradictory_uniformity_automaton,
@@ -52,6 +55,7 @@ from qualtree.suite import (
     random_imperfect_arena,
     random_regular_tree,
 )
+from arena_oracles import named_full_information_arena
 
 
 def two_state_automaton():
@@ -96,16 +100,17 @@ def test_observation_classes_group_by_direction():
 
 def test_incomplete_protagonist_row_is_an_error():
     sigma = Alphabet(("a", "b"))
-    aut = AlternatingTreeAutomaton(
-        alphabet=sigma,
-        states=frozenset({"q"}),
-        initial="q",
-        transitions=frozenset({("q", "a", "q", "q")}),
-        eloise=frozenset({"q"}),
-        abelard=frozenset(),
-    )
-    with pytest.raises(ValueError, match="state q on symbol b"):
-        build_emptiness_game(aut, frozenset({"q"}))
+    for mine in (True, False):  # the opponent's rows are checked the same way
+        aut = AlternatingTreeAutomaton(
+            alphabet=sigma,
+            states=frozenset({"q"}),
+            initial="q",
+            transitions=frozenset({("q", "a", "q", "q")}),
+            eloise=frozenset({"q"} if mine else ()),
+            abelard=frozenset(() if mine else {"q"}),
+        )
+        with pytest.raises(FormatError, match="state q on symbol b"):
+            build_emptiness_game(aut, frozenset({"q"}))
 
 
 def single_vertex_arena(in_target: bool):
@@ -202,7 +207,7 @@ def test_solver_on_fully_observable_instances_collapses_to_perfect_information()
         arena, target = random_imperfect_arena(rng, max_vertices=4, max_actions=2)
         observable = fully_observable(arena)
         verdict, _ = solve_imperfect_buchi(observable, target)
-        assert verdict == _wins_full_information(observable, target)
+        assert verdict == (bool(target) and _wins_full_information(number_game(observable, target)))
 
 
 def test_solver_matches_enumeration_on_random_arenas():
@@ -334,27 +339,29 @@ def test_resource_guard_is_a_distinct_outcome():
     aut, final = contradictory_uniformity_automaton()
     result = check_emptiness(aut, final, belief_cap=2)
     assert result.kind == "resource-exceeded"
+    game, target = build_emptiness_game(aut, final)
     with pytest.raises(ResourceLimit):
-        game, target = build_emptiness_game(aut, final)
-        reachable_beliefs(game, cap=2)
+        reachable_beliefs(number_game(game, target), cap=2)
 
 
 def test_belief_exploration_is_observation_pure():
     """Every knowledge set lies in one observation class, so any member
     names its observation, and successors come in canonical observation
     order."""
-    games = [build_emptiness_game(*contradictory_uniformity_automaton())[0]]
+    games = [build_emptiness_game(*contradictory_uniformity_automaton())]
     rng = random.Random(23)
     for _ in range(40):
-        games.append(random_imperfect_arena(rng)[0])
-        games.append(build_emptiness_game(*random_alternating_buchi(rng, max_states=4))[0])
-    for game in games:
-        beliefs, post = reachable_beliefs(game, cap=10_000)
-        assert beliefs[0] == initial_belief(game)
-        for b in beliefs:
-            assert len({game.obs[v] for v in b}) == 1
+        games.append(random_imperfect_arena(rng))
+        games.append(build_emptiness_game(*random_alternating_buchi(rng, max_states=4)))
+    for game, target in games:
+        n = number_game(game, target)
+        masks, post = reachable_beliefs(n, cap=10_000)
+        assert masks[0] == 1 << game.vertices.index(game.initial)
+        assert list(n.observations) == csorted(set(game.obs.values()))
+        for mask in masks:
+            assert mask and len({n.obs[v] for v in _bits(mask)}) == 1
         for branches in post.values():
-            assert list(branches) == csorted(branches)
+            assert list(branches) == sorted(branches)
 
 
 def test_full_information_refutation_needs_no_knowledge_sets():
@@ -365,8 +372,9 @@ def test_full_information_refutation_needs_no_knowledge_sets():
     for i in range(100):
         aut, final = random_alternating_buchi(rng, max_states=4)
         game, target = build_emptiness_game(aut, final)
-        if target and not _wins_full_information(game, target):
-            if len(reachable_beliefs(game, cap=10_000)[0]) > 2:
+        n = number_game(game, target)
+        if target and not _wins_full_information(n):
+            if len(reachable_beliefs(n, cap=10_000)[0]) > 2:
                 refuted.append(i)
                 assert check_emptiness(aut, final, belief_cap=2).kind == "empty"
     assert {15, 48, 57, 59, 77} <= set(refuted)
@@ -429,6 +437,9 @@ def _det_attractor(region, owner_is_e, succ, base, for_eloise):
 
 
 def _old_sure_belief_strategy(g, target, beliefs, post):
+    """The sweep short-cut on named knowledge sets.  Its choices follow
+    canonical order: the least action that joins the attractor, else the
+    least action that stays in the region."""
     nodes, succ = set(), {}
     for b in beliefs:
         nodes.add(b)
@@ -458,17 +469,42 @@ def _old_sure_belief_strategy(g, target, beliefs, post):
         if b in witness:
             assign[b] = witness[b][1]
         else:
-            stay = [a for a in g.actions if (b, a) in region]
+            stay = [a for a in csorted(g.actions) if (b, a) in region]
             if not stay:
                 return None
             assign[b] = stay[0]
     return assign
 
 
+@dataclasses.dataclass
+class Walk:
+    """A game with both knowledge-set walks: the numbered one (masks and
+    the successor table on ids) and the named one (frozensets of vertices
+    and the table on them)."""
+
+    game: object
+    target: frozenset
+    n: object
+    masks: list
+    post: dict
+    beliefs: list
+    named: dict
+
+    def assign(self, table: dict) -> dict:
+        """A table on ids, on names."""
+        return {self.beliefs[b]: self.game.actions[a] for b, a in table.items()}
+
+
+def _walk(game, target, cap=400) -> Walk:
+    n = number_game(game, target)
+    return Walk(game, frozenset(target), n, *reachable_beliefs(n, cap),
+                *_named_beliefs(game, cap))
+
+
 def _knowledge_games(seed, count):
-    """(game, target, beliefs, post) for seeded automata and arenas whose
-    full-information relaxation is won, so the knowledge-set routes run.
-    The arenas list their actions against canonical order."""
+    """Walks of seeded automata and arenas whose full-information
+    relaxation is won, so the knowledge-set routes run.  The arenas list
+    their actions against canonical order."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -478,39 +514,37 @@ def _knowledge_games(seed, count):
         else:
             aut, final = random_alternating_buchi(rng, max_states=4)
             game, target = build_emptiness_game(aut, final)
-        if not target or not _wins_full_information(game, target):
+        if not target or not _wins_full_information(number_game(game, target)):
             continue
-        beliefs, post = reachable_beliefs(game, cap=400)
-        out.append((game, frozenset(target), beliefs, post))
+        out.append(_walk(game, target))
     return out
 
 
+def _contradictory_walk() -> Walk:
+    return _walk(*build_emptiness_game(*contradictory_uniformity_automaton()))
+
+
 def test_integer_refutation_matches_distribution_product_on_every_visited_table():
-    aut, core = contradictory_uniformity_automaton()
-    game, target = build_emptiness_game(aut, core)
-    games = [(game, target, *reachable_beliefs(game, cap=400))] + _knowledge_games(71, 60)
     visited = cut = 0
-    for game, target, beliefs, post in games:
-        ids = _number_post(game, beliefs, post)
-        refuted = _table_refuter(game, target, beliefs, ids)
+    for w in [_contradictory_walk()] + _knowledge_games(71, 60):
+        refuted = _table_refuter(w.n, w.masks, w.post)
 
         def checked(table):
             nonlocal visited, cut
-            assign = {beliefs[b]: game.actions[a] for b, a in table.items()}
             fast = refuted(table)
-            assert fast == _old_partial_refuted(game, target, assign, post)
+            assert fast == _old_partial_refuted(w.game, w.target, w.assign(table), w.named)
             visited += 1
             cut += fast
             return fast
 
-        tables = _closed_tables(0, ids, range(len(game.actions)), checked)
+        tables = _closed_tables(0, w.post, range(len(w.game.actions)), checked)
         first = next(tables, None)
         first = None if first is None else dict(first)
-        assert first == _search_belief_table(game, target, beliefs, ids)
+        assert first == _search_belief_table(w.n, w.masks, w.post)
         # every closed table the pruning lets through wins exactly
         for table in itertools.chain([first] if first else [], itertools.islice(tables, 20)):
-            assign = {beliefs[b]: game.actions[a] for b, a in table.items()}
-            assert check_observation_strategy(game, target, _materialize(game, assign, post))
+            strat = _materialize(w.game, w.assign(table), w.named)
+            assert check_observation_strategy(w.game, w.target, strat)
     assert visited > 500 and 0 < cut < visited
 
 
@@ -518,23 +552,19 @@ def test_search_assigns_only_reached_knowledge_sets():
     """The refuter builds each table's product from the rows of its assigned
     knowledge sets without walking it, which is exact because every table
     the search visits assigns only knowledge sets reached under it."""
-    aut, core = contradictory_uniformity_automaton()
-    game, target = build_emptiness_game(aut, core)
-    games = [(game, target, *reachable_beliefs(game, cap=400))] + _knowledge_games(71, 60)
     visited = 0
-    for game, target, beliefs, post in games:
-        ids = _number_post(game, beliefs, post)
-        refuted = _table_refuter(game, target, beliefs, ids)
+    for w in [_contradictory_walk()] + _knowledge_games(71, 60):
+        refuted = _table_refuter(w.n, w.masks, w.post)
 
         def checked(table):
             nonlocal visited
-            assert set(table) <= set(_reached(0, table, ids)[0])
+            assert set(table) <= set(_reached(0, table, w.post)[0])
             visited += 1
             return refuted(table)
 
-        tables = _closed_tables(0, ids, range(len(game.actions)), checked)
+        tables = _closed_tables(0, w.post, range(len(w.game.actions)), checked)
         for table in itertools.islice(tables, 20):
-            assert set(table) == set(_reached(0, table, ids)[0])
+            assert set(table) == set(_reached(0, table, w.post)[0])
     assert visited > 500
 
 
@@ -558,23 +588,23 @@ def test_action_hash_is_the_dataclass_hash_computed_once():
 
 def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
     rng = random.Random(73)
-    for game, target, beliefs, post in _knowledge_games(79, 60):
+    for w in _knowledge_games(79, 60):
+        game, beliefs = w.game, w.beliefs
         n_b, n_a = len(beliefs), len(game.actions)
-        ids = _number_post(game, beliefs, post)
         node = list(beliefs) + [(b, a) for b in beliefs for a in game.actions]
         canonical = sorted(range(n_a), key=lambda a: ckey(game.actions[a]))
         succ = [[n_b + b * n_a + a for a in canonical] for b in range(n_b)]
-        succ += [list(ids[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
+        succ += [list(w.post[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
         pred = [[] for _ in succ]
         for v, ws in enumerate(succ):
-            for w in ws:
-                pred[w].append(v)
-        old_succ = {node[v]: [node[w] for w in ws] for v, ws in enumerate(succ)}
+            for x in ws:
+                pred[x].append(v)
+        old_succ = {node[v]: [node[x] for x in ws] for v, ws in enumerate(succ)}
 
         def owner_is_e(x):
             return isinstance(x, frozenset)
 
-        goal = {b for b in range(n_b) if beliefs[b] <= target}
+        goal = {b for b in range(n_b) if beliefs[b] <= w.target}
         regions = [set(range(len(node)))]
         regions += [{v for v in range(len(node)) if rng.random() < 0.8} for _ in range(3)]
         for region in regions:
@@ -587,13 +617,76 @@ def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
                 assert len(order) == len(set(order))
                 assert {node[v] for v in order} == old_attr
                 position = {v: i for i, v in enumerate(order)}
-                for v, w in witness.items():
-                    assert w in succ[v] and w in position and position[w] < position[v]
+                for v, x in witness.items():
+                    assert x in succ[v] and position[x] < position[v]
                 if for_eloise:
-                    assert {node[v]: node[w] for v, w in witness.items()} == old_witness
-        table = _sure_belief_strategy(game, target, beliefs, ids)
-        old = _old_sure_belief_strategy(game, target, beliefs, post)
+                    assert {node[v]: node[x] for v, x in witness.items()} == old_witness
+        table = _sure_belief_strategy(w.n, w.masks, w.post)
+        old = _old_sure_belief_strategy(game, w.target, beliefs, w.named)
         if table is None:
-            assert old is None or _reached(initial_belief(game), old, post)[1] is not None
+            assert old is None or _reached(initial_belief(game), old, w.named)[1] is not None
         else:
-            assert {beliefs[b]: game.actions[a] for b, a in table.items()} == old
+            assert w.assign(table) == old
+
+
+# ---------------------------------------------------------------------------
+# The numbered game against the named one it replaced: the named walk (kept
+# for the enumeration oracle) and the named full-information arena.
+# ---------------------------------------------------------------------------
+
+
+def _reference_games(seed):
+    """Alternating Büchi automata of 1 to 6 states, random arenas with
+    arbitrary observation classes and one or two opponent distributions per
+    move, and fully observable variants of both."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(100):
+        out.append(build_emptiness_game(*random_alternating_buchi(rng, max_states=1 + i % 6)))
+        out.append(random_imperfect_arena(rng, max_vertices=6, max_actions=3))
+    out += [(fully_observable(game), target) for game, target in out[:40]]
+    return out
+
+
+def _limit_or_size(walk, *args):
+    try:
+        return len(walk(*args)[0])
+    except ResourceLimit as e:
+        return e.what, e.bound
+
+
+def test_numbered_walk_matches_the_named_walk():
+    """Same knowledge sets in the same order, the same successor table in
+    the same order, and the same ResourceLimit at the same cap."""
+    limited = 0
+    for game, target in _reference_games(101):
+        n = number_game(game, target)
+        masks, post = reachable_beliefs(n, 400)
+        beliefs, named = _named_beliefs(game, 400)
+        assert [frozenset(game.vertices[v] for v in _bits(m)) for m in masks] == beliefs
+        ids = {b: i for i, b in enumerate(beliefs)}
+        obs = {o: i for i, o in enumerate(n.observations)}
+        on_ids = [((ids[b], game.actions.index(a)),
+                   [(obs[o], ids[b2]) for o, b2 in branches.items()])
+                  for (b, a), branches in named.items()]
+        assert [(key, list(branches.items())) for key, branches in post.items()] == on_ids
+        for cap in (1, len(beliefs) // 2, len(beliefs) - 1, len(beliefs)):
+            size = _limit_or_size(reachable_beliefs, n, cap)
+            assert size == _limit_or_size(_named_beliefs, game, cap)
+            limited += size != len(beliefs)
+    assert limited > 200
+
+
+def test_integer_full_information_arena_matches_the_named_one():
+    won = lost = 0
+    for game, target in _reference_games(103):
+        n = number_game(game, target)
+        region, _ = almost_sure_buchi(_full_information_arena(n), frozenset(_bits(n.target)))
+        arena, tgt = named_full_information_arena(game, target)
+        named_region, _ = almost_sure_buchi(arena, tgt)
+        assert ({game.vertices[v] for v in region if v < len(game.vertices)}
+                == {x[1] for x in named_region if x[0] == "p"})
+        assert _wins_full_information(n) == (arena.initial in named_region)
+        won += arena.initial in named_region
+        lost += arena.initial not in named_region
+    assert won > 20 and lost > 20

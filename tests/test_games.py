@@ -8,7 +8,7 @@ import pytest
 from qualtree.acceptance import build_acceptance_game, qualitative_membership
 from qualtree.automata import cobuchi
 from qualtree.dist import Distribution
-from qualtree.emptiness import _full_information_arena, build_emptiness_game
+from qualtree.emptiness import ImperfectInfoArena, build_emptiness_game
 from qualtree.errors import ResourceLimit
 from qualtree.games import (
     ELOISE,
@@ -16,15 +16,14 @@ from qualtree.games import (
     PositionalStrategy,
     StochasticArena,
     _absorb,
+    _ids,
     _positive_buchi_view,
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
-    buchi_to_reachability,
     check_buchi_strategy,
     check_reach_strategy,
     controller_positive_avoid,
-    controller_positive_buchi,
     controller_positive_cobuchi,
     eloise_positional_strategies,
     fix_strategy,
@@ -44,6 +43,7 @@ from qualtree.suite import (
     random_regular_tree,
     random_target,
 )
+from arena_oracles import buchi_to_reachability, named_full_information_arena
 from weighted_chains import as_markov_chain, named_bottoms, support_chain
 
 
@@ -259,6 +259,13 @@ def test_mecs_match_subset_brute_force():
     for _ in range(40):
         m = Mdp(random_mdp_arena(rng, 5))
         assert {c for c, _ in max_end_components(m)} == _brute_force_mecs(m)
+
+
+def controller_positive_buchi(m: Mdp, target: frozenset) -> bool:
+    """True iff the controller can visit the target infinitely often with
+    positive probability (some reachable MEC meets the target)."""
+    view = view_of_mdp(m)
+    return _positive_buchi_view(view, _ids(view, target))
 
 
 def test_controller_positive_buchi_trivial_cases():
@@ -627,13 +634,18 @@ def test_trusted_builders_pass_the_public_constructor():
             fix_strategy(g, next(eloise_positional_strategies(g))).arena,
         ]
         game, tgt = random_imperfect_arena(rng)
-        built.append(_full_information_arena(game, tgt)[0])
+        built.append(named_full_information_arena(game, tgt)[0])
     for g, _ in _acceptance_arenas(59, 20):
         built.append(g)
+    games = []
     for _ in range(10):
         aut, final = random_alternating_buchi(rng, max_states=3)
-        built.append(_full_information_arena(*build_emptiness_game(aut, final))[0])
+        games.append(build_emptiness_game(aut, final)[0])
+        built.append(named_full_information_arena(games[-1], frozenset())[0])
     for g in built:
         assert _revalidated(g) == g
+    # emptiness games are built without the ImperfectInfoArena checks
+    for g in games:
+        assert ImperfectInfoArena(g.vertices, g.initial, g.actions, g.trans, g.obs) == g
     with pytest.raises(ValueError, match="unknown"):
         with_initial(built[0], ("not", "a", "vertex"))

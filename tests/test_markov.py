@@ -23,6 +23,7 @@ from weighted_chains import (
     MarkovChain,
     full_tree_chain,
     full_word_chain,
+    marked_bottom_probability,
     named,
     named_bottoms,
     oracle_bottoms,
@@ -222,6 +223,50 @@ def test_word_tree_membership_equals_lasso_membership():
         w = random_lasso_word(rng, sigma)
         tree_verdict = prob_tree_membership(lift_diagonal(a), final, tree_from_word(w))
         assert tree_verdict == lasso_membership_word(a, final, w, "cobuchi")
+
+
+def _assert_verdicts_match_exact_probability(m: MarkovChain, chain) -> Fraction:
+    """"buchi" iff the marked bottom components are entered with
+    probability 1, "cobuchi" iff with probability 0."""
+    p = marked_bottom_probability(m)
+    assert 0 <= p <= 1
+    assert as_verdict(chain, "buchi") == (p == 1)
+    assert as_verdict(chain, "cobuchi") == (p == 0)
+    return p
+
+
+def test_verdicts_match_exact_marked_bottom_probability():
+    rng = random.Random(2025)
+    seen = set()
+    for i in range(240):
+        m = _random_chain(rng, 1 + i % 8)
+        p = _assert_verdicts_match_exact_probability(m, support_chain(m))
+        seen.add(p if p in (0, 1) else "between")
+    assert seen == {0, 1, "between"}
+
+
+def test_product_verdicts_match_exact_marked_bottom_probability():
+    """The lasso and lifted products, and trees under split automata."""
+    rng = random.Random(2026)
+    split_rng = random.Random(2027)
+    sigma = Alphabet(("a", "b"))
+    seen = set()
+    for _ in range(40):
+        a = random_simple_pwa(rng, 4, sigma)
+        final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
+        w = random_lasso_word(rng, sigma, 3, 4)
+        t = random_regular_tree(rng, 6, sigma)
+        cases = [(reachable_part(full_word_chain(a, final, w)), word_chain(a, final, w))]
+        for x in (t, tree_from_word(w)):
+            for lift in (lift_diagonal, lift_swap):
+                c = lift(a)
+                cases.append((weighted_tree_chain(c, final, x), tree_chain(c, final, x)))
+        b = _random_split_automaton(split_rng, 3, sigma)
+        b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
+        cases.append((weighted_tree_chain(b, b_final, t), tree_chain(b, b_final, t)))
+        for m, chain in cases:
+            seen.add(_assert_verdicts_match_exact_probability(m, chain))
+    assert {0, 1} <= seen
 
 
 def test_lift_product_chains_are_equal_graphs():

@@ -169,3 +169,43 @@ def oracle_bottoms(m: MarkovChain) -> set:
     and its component is then the set it reaches."""
     ahead = {s: reachable([s], m.successors) for s in reachable([m.initial], m.successors)}
     return {frozenset(ahead[s]) for s in ahead if all(s in ahead[x] for x in ahead[s])}
+
+
+def marked_bottom_probability(m: MarkovChain) -> Fraction:
+    """Exact probability, from the initial state, of entering a bottom SCC
+    that holds a marked state.
+
+    With x = 1 on such components and x = 0 on the other bottom ones, the
+    other reachable states satisfy x_s = sum_t P(s, t) x_t.  From each of
+    them some bottom component is reached almost surely, so I - P on them
+    is invertible; the system is solved by Gauss-Jordan elimination over
+    Fractions.
+    """
+    bottoms = oracle_bottoms(m)
+    good = set().union(*(c for c in bottoms if c & m.marked))
+    if m.initial in good or m.initial in set().union(*bottoms):
+        return Fraction(int(m.initial in good))
+    transient = [s for s in csorted(reachable([m.initial], m.successors))
+                 if not any(s in c for c in bottoms)]
+    idx = {s: i for i, s in enumerate(transient)}
+    n = len(transient)
+    rows = []  # [I - P restricted to transient states | P into good components]
+    for s in transient:
+        row = [Fraction(0)] * (n + 1)
+        row[idx[s]] += 1
+        for t, p in m.trans[s].items():
+            if t in idx:
+                row[idx[t]] -= p
+            elif t in good:
+                row[n] += p
+        rows.append(row)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f != 0:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return rows[idx[m.initial]][n]
