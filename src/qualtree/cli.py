@@ -304,6 +304,9 @@ def acceptance_cobuchi(target):
 def cmd_suite(args) -> int:
     from qualtree.suite import emptiness_crosscheck
 
+    for flag, value in (("--count", args.count), ("--max-states", args.max_states)):
+        if value < 1:
+            raise FormatError(f"{flag} must be at least 1, not {value}")
     report = Report(f"suite --seed {args.seed} --count {args.count} --max-states {args.max_states}")
     records = emptiness_crosscheck(args.seed, args.count, args.max_states)
     disagreements = [r for r in records if not r.ok]

@@ -18,13 +18,13 @@ is an int bitmask of vertex ids and its post under an action is the OR of
 its members' successor masks, split by observation class.  Two sound
 short-cuts come first: a full-information upper bound, an integer
 `games.Arena` solved before any knowledge set is explored, and a
-sure-winning lower bound on the knowledge-set game.  The search refutes
-each partial table on its product with the knowledge sets, assembled from
-rows built once per (knowledge set, action) and not walked breadth-first:
-the search assigns only knowledge sets its earlier assignments reach, so
-every pair of an assigned knowledge set and one of its members is
-reachable.  All of this runs on supports, since a refutation only asks
-whether a target-free end component exists.  Names come back at the edge:
+sure-winning lower bound on the knowledge-set game.  The search keeps
+its breadth-first frontier on its trail and refutes each partial table by
+the end components of its product with the knowledge sets, made of rows
+built once per (knowledge set, action).  The table without its deepest set
+was not refuted, so only a component through that set is sought.  All of
+this runs on supports, since a refutation only asks whether a target-free
+end component exists.  Names come back at the edge:
 a winning table becomes a strategy on knowledge sets of vertex names,
 which still passes `check_observation_strategy`.  The blunt enumeration in
 `solve_by_enumeration` walks knowledge sets of names, shares only the
@@ -55,6 +55,7 @@ from qualtree.games import (
     almost_sure_buchi,
     mec_decomposition,
 )
+from qualtree.graphs import reachable
 from qualtree.ordering import ckey, csorted
 from qualtree.trees import RegularTree
 
@@ -484,24 +485,34 @@ def _closed_tables(root, post: dict, actions, refuted=None):
     """Every closed per-belief action table, depth-first.
 
     The first open belief in breadth-first order takes each action in turn.
-    A partial table that `refuted` rejects is cut with everything below it.
+    The assigned beliefs are a prefix of that order, so the order is kept on
+    the trail: each entry records the length of `order` before its belief's
+    successors were appended, and its next action truncates back to it.
+    A partial table that `refuted` rejects is cut with everything below it;
+    `refuted` sees a table only when the table without its deepest belief,
+    the dict's last key, was not refuted.
     The yielded dict is the live table: copy it to keep it past the next step.
     """
     assign: dict = {}
-    trail: list = []  # (belief, index into actions)
+    trail: list = []  # (belief, index into actions, len(order) before its successors)
+    order, seen = [root], {root}
     while True:
         if not (refuted and trail and refuted(assign)):
-            _, b = _reached(root, assign, post)
-            if b is not None:
-                trail.append((b, 0))
-                assign[b] = actions[0]
-                continue
-            yield assign
-        while trail:  # next sibling of the deepest belief that has one
-            b, i = trail[-1]
+            if len(trail) == len(order):
+                yield assign
+            else:
+                trail.append((order[len(trail)], -1, len(order)))  # action 0 comes next
+        while trail:  # next action of the deepest belief that has one
+            b, i, mark = trail[-1]
+            seen.difference_update(order[mark:])
+            del order[mark:]
             if i + 1 < len(actions):
-                trail[-1] = (b, i + 1)
+                trail[-1] = (b, i + 1, mark)
                 assign[b] = actions[i + 1]
+                for b2 in post[(b, assign[b])].values():
+                    if b2 not in seen:
+                        seen.add(b2)
+                        order.append(b2)
                 break
             trail.pop()
             del assign[b]
@@ -514,60 +525,43 @@ def _table_refuter(n: NumberedGame, masks: list, post: dict):
     target-free end component of pairs whose knowledge set the table assigns
     survives every completion.
 
-    Product pairs (vertex id, knowledge-set id) are numbered once per search.
-    The row of knowledge set b under action a is built the first time a
-    table assigns a to b, and kept: the pair ids of b's members, their moves
-    as support sets of pair ids (only supports matter), and the ids of the
-    pairs outside the target.  A table's product is then the rows of its
-    assigned knowledge sets, with no walk from the start pair:
-    `_closed_tables` assigns only a knowledge set reached under the earlier
-    assignments, so every pair (v, b) with v in an assigned b is reachable,
-    and on a closed table the predicate is exactly "the table loses".  End
-    components are sought among the safe pairs of assigned knowledge sets
-    only, so pairs of unassigned ones, whatever row they last had, lie in
-    none.
+    Pair (vertex v, knowledge set b) has id b * |V| + v.  The row of b under
+    action a, built once per search, maps b's pairs outside the target to
+    their moves as support sets of pair ids (only supports matter).
+    `_closed_tables` assigns only knowledge sets reached under the earlier
+    assignments, so a table's product needs no walk: it is the rows of its
+    assigned sets, and on a closed table the predicate is exactly "the
+    table loses".  By its invariant, the table without its deepest set b,
+    the dict's last key, was not refuted, so an end component, if any,
+    holds a safe pair of b.  Components are sought only in the forward
+    closure of b's safe pairs under the moves whose whole support is safe
+    pairs of assigned sets.
     """
-    n_act, n_v, obs = len(n.g.actions), len(n.obs), n.obs
-    index: dict = {}  # knowledge-set id * n_v + vertex id -> pair id
-    pairs: list = []  # pair id -> (vertex id, knowledge-set id)
-    prod: list = []  # pair id -> moves in the row last placed for its knowledge set
-    rows: dict = {}  # (knowledge-set id, action id) -> (pair ids, moves, safe pair ids)
-    placed: dict = {}  # knowledge-set id -> action id whose row is in prod
+    n_act, n_v, obs, moves, target = len(n.g.actions), len(n.obs), n.obs, n.moves, n.target
+    prod: dict = {}  # safe pair id -> moves in the row last placed for its knowledge set
+    rows: dict = {}  # (knowledge-set id, action id) -> {safe pair id: moves}
+    view = MdpView(range(len(masks) * n_v), n.initial, prod)
+    safe: set = set()  # the safe pairs of the knowledge sets in `levels`
+    levels: list = []  # per assigned knowledge set, in table order, its row
 
-    def pair(v: int, b: int) -> int:
-        j = index.get(b * n_v + v)
-        if j is None:
-            j = index[b * n_v + v] = len(pairs)
-            pairs.append((v, b))
-            prod.append(())
-        return j
-
-    def row(b: int, a: int) -> tuple:
-        branches = post[(b, a)]
-        members = _bits(masks[b])
-        ids = [pair(v, b) for v in members]
-        mvs = [
-            tuple(frozenset(pair(v2, branches[obs[v2]]) for v2 in support)
-                  for support in n.moves[v * n_act + a])
-            for v in members
-        ]
-        safe = frozenset(j for v, j in zip(members, ids) if not n.target >> v & 1)
-        return ids, mvs, safe
+    def row(b: int, a: int) -> dict:
+        base = {o: b2 * n_v for o, b2 in post[(b, a)].items()}
+        return {b * n_v + v: tuple([frozenset([base[obs[v2]] + v2 for v2 in support])
+                                    for support in moves[v * n_act + a]])
+                for v in _bits(masks[b] & ~target)}
 
     def refuted(table: dict) -> bool:
-        safe: list = []
-        for b, a in table.items():
-            r = rows.get((b, a))
-            if r is None:
-                r = rows[(b, a)] = row(b, a)
-            if placed.get(b) != a:
-                placed[b] = a
-                for j, mv in zip(r[0], r[1]):
-                    prod[j] = mv
-            safe.append(r[2])
-        within = frozenset().union(*safe)
-        # the root {initial} gets the first row, so pair 0 is the start pair
-        return bool(mec_decomposition(MdpView(pairs, 0, prod), within=within))
+        key = next(reversed(table.items()))  # (deepest knowledge set, its action)
+        if key not in rows:
+            rows[key] = row(*key)
+        placed = rows[key]
+        prod.update(placed)
+        while len(levels) >= len(table):  # the parent was the last table checked at its depth
+            safe.difference_update(levels.pop())
+        levels.append(placed)
+        safe.update(placed)
+        closure = reachable(placed, lambda j: [x for d in prod[j] if d <= safe for x in d])
+        return bool(mec_decomposition(view, within=frozenset(closure)))
 
     return refuted
 

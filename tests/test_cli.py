@@ -296,6 +296,14 @@ def test_suite_subcommand_smoke():
     assert "disagreements: 0" in out
 
 
+@pytest.mark.parametrize("flag", ["--count", "--max-states"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_suite_rejects_count_and_max_states_below_one(flag, value):
+    argv = {"--seed": "1", "--count": "2", "--max-states": "2", flag: value}
+    code, out = run_cli("suite", *[x for item in argv.items() for x in item])
+    assert code == 2 and "verdict" not in out
+
+
 def test_json_report(files):
     import json
 

@@ -56,6 +56,7 @@ from qualtree.suite import (
     random_regular_tree,
 )
 from arena_oracles import named_full_information_arena
+from search_oracles import closed_tables_by_walk, whole_product_refuter
 
 
 def two_state_automaton():
@@ -690,3 +691,71 @@ def test_integer_full_information_arena_matches_the_named_one():
         won += arena.initial in named_region
         lost += arena.initial not in named_region
     assert won > 20 and lost > 20
+
+
+# ---------------------------------------------------------------------------
+# The search with its frontier on the trail and its end components sought
+# through the deepest knowledge set, against the search it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _search_games(seed):
+    """Numbered reference games with at most 400 knowledge sets, and the
+    contradictory automaton."""
+    games = _reference_games(seed)
+    games.append(build_emptiness_game(*contradictory_uniformity_automaton()))
+    out = []
+    for game, target in games:
+        n = number_game(game, target)
+        try:
+            out.append((n, *reachable_beliefs(n, 400)))
+        except ResourceLimit:
+            continue
+    return out
+
+
+def test_frontier_tables_match_the_walk_without_a_refuter():
+    """On ids, as the search runs, and on named knowledge sets, as the
+    enumeration oracle runs."""
+    for n, masks, post in _search_games(107):
+        beliefs, named = _named_beliefs(n.g, 400)
+        for root, table, actions in ((0, post, range(len(n.g.actions))),
+                                     (beliefs[0], named, list(n.g.actions))):
+            new = [dict(t) for t in itertools.islice(_closed_tables(root, table, actions), 40)]
+            old = [dict(t) for t in itertools.islice(closed_tables_by_walk(root, table, actions), 40)]
+            assert new == old and new
+
+
+class _Budget(Exception):
+    pass
+
+
+def test_deepest_set_refuter_matches_the_whole_product_search():
+    """The same tables visited, the same verdict on each, the same first
+    closed table; a search is compared on its first 2,000 visits only."""
+    visited = cut = found = 0
+    for n, masks, post in _search_games(109):
+        runs = []
+        for closed, refuter in ((_closed_tables, _table_refuter),
+                                (closed_tables_by_walk, whole_product_refuter)):
+            refuted, seen = refuter(n, masks, post), []
+
+            def checked(table, refuted=refuted, seen=seen):
+                if len(seen) == 2000:
+                    raise _Budget
+                verdict = refuted(table)
+                seen.append((dict(table), verdict))
+                return verdict
+
+            try:
+                first = next(closed(0, post, range(len(n.g.actions)), checked), None)
+            except _Budget:
+                first = "budget"
+            runs.append((seen, dict(first) if isinstance(first, dict) else first))
+        assert runs[0] == runs[1]
+        if runs[0][1] != "budget":
+            assert runs[0][1] == _search_belief_table(n, masks, post)
+        visited += len(runs[0][0])
+        cut += sum(verdict for _, verdict in runs[0][0])
+        found += isinstance(runs[0][1], dict)
+    assert visited > 1000 and 100 < cut < visited and found > 20
