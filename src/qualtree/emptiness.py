@@ -73,12 +73,6 @@ class LocalChoice:
     def of(cls, mapping: dict) -> "LocalChoice":
         return cls(tuple(sorted(mapping.items())))
 
-    def get(self, q: str) -> tuple[str, str]:
-        return dict(self.assign)[q]
-
-    def as_dict(self) -> dict:
-        return dict(self.assign)
-
 
 @dataclass(frozen=True)
 class EmptinessAction:
@@ -138,12 +132,6 @@ class ImperfectInfoArena:
         g.__dict__.update(vertices=vertices, initial=initial, actions=actions,
                           trans=trans, obs=obs)
         return g
-
-    def observation_classes(self) -> dict:
-        classes: dict = {}
-        for v in self.vertices:
-            classes.setdefault(self.obs[v], set()).add(v)
-        return classes
 
 
 @dataclass(frozen=True)
@@ -683,78 +671,6 @@ def solve_by_enumeration(
         if check_observation_strategy(g, target, strat):
             return True, strat
     return False, None
-
-
-def enumerate_bit_enriched(
-    g: ImperfectInfoArena, target, *, belief_cap: int = 2**14
-) -> tuple[bool, ObservationStrategy | None]:
-    """Enumeration over (knowledge set, extra bit) memories.
-
-    Investigation knob: on any instance where this wins but the plain
-    knowledge-set enumeration loses, the flip must be surfaced, never
-    silently absorbed.
-    """
-    target = frozenset(target)
-    if not target:
-        return False, None
-    _, post = _named_beliefs(g, belief_cap)
-    actions = list(g.actions)
-    m0 = (initial_belief(g), 0)
-
-    def choices(m):
-        b, _ = m
-        out = []
-        for a in actions:
-            branches = list(post[(b, a)].items())
-            for bits in itertools.product((0, 1), repeat=len(branches)):
-                out.append((a, tuple((o, (b2, bit)) for (o, b2), bit in zip(branches, bits))))
-        return out
-
-    def closure(assign):
-        reached = [m0]
-        seen = {m0}
-        i = 0
-        while i < len(reached):
-            m = reached[i]
-            i += 1
-            if m not in assign:
-                return reached, m
-            for _, m2 in assign[m][1]:
-                if m2 not in seen:
-                    seen.add(m2)
-                    reached.append(m2)
-        return reached, None
-
-    assign: dict = {}
-    trail: list = []
-
-    def backtrack() -> bool:
-        while trail:
-            m, i, opts = trail[-1]
-            if i + 1 < len(opts):
-                trail[-1] = (m, i + 1, opts)
-                assign[m] = opts[i + 1]
-                return True
-            trail.pop()
-            del assign[m]
-        return False
-
-    while True:
-        reached, open_m = closure(assign)
-        if open_m is None:
-            act = {(m, _belief_obs(g, m[0])): assign[m][0] for m in reached}
-            update = {
-                (m, o, assign[m][0]): m2 for m in reached for (o, m2) in assign[m][1]
-            }
-            strat = ObservationStrategy(tuple(reached), m0, act, update)
-            if check_observation_strategy(g, target, strat):
-                return True, strat
-            if not backtrack():
-                return False, None
-            continue
-        opts = choices(open_m)
-        trail.append((open_m, 0, opts))
-        assign[open_m] = opts[0]
 
 
 # ---------------------------------------------------------------------------

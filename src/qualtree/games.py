@@ -228,7 +228,7 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
     """
     universe = range(len(view.states)) if within is None else within
     out: list[frozenset] = []
-    work = [frozenset(universe)]
+    work = [frozenset(universe)] if universe else []
     while work:
         cand = work.pop()
         staying = {s: [d for d in view.moves[s] if d <= cand] for s in cand}

@@ -1,4 +1,5 @@
-"""Seeded random instances and the solver-versus-oracle cross-check suite.
+"""Seeded random instances, the solver-versus-oracle cross-check suite, and
+the one-bit memory product that probes knowledge-set memory.
 
 Generators are tuned so the blunt enumeration oracles stay tractable: the
 protagonist's local-choice space is kept small while opponent branching
@@ -7,6 +8,7 @@ stays free.  Every run is a pure function of the seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +20,7 @@ from qualtree.automata import (
 )
 from qualtree.dist import Distribution
 from qualtree.emptiness import (
+    ImperfectInfoArena,
     build_emptiness_game,
     check_emptiness,
     solve_by_enumeration,
@@ -33,7 +36,7 @@ def random_alternating_buchi(
     """Complete alternating automaton with a small protagonist choice space."""
     n = rng.randint(1, max_states)
     states = [f"q{i}" for i in range(n)]
-    sigma = Alphabet(tuple("ab"[: rng.randint(1, max_symbols)]))
+    sigma = Alphabet(tuple("abc"[: rng.randint(1, max_symbols)]))
     n_eloise = min(rng.choice([0, 1, 1, 1, 2]), n)
     eloise = frozenset(rng.sample(states, n_eloise))
     transitions = set()
@@ -165,8 +168,6 @@ def random_imperfect_arena(
     rng: random.Random, max_vertices: int = 5, max_actions: int = 3
 ):
     """Small partial-observation arena plus a target set, oracle-tractable."""
-    from qualtree.emptiness import ImperfectInfoArena
-
     n = rng.randint(1, max_vertices)
     vs = [f"v{i}" for i in range(n)]
     actions = tuple(f"a{i}" for i in range(rng.randint(1, max_actions)))
@@ -257,18 +258,47 @@ def random_tree_automaton(rng: random.Random, max_states: int, alphabet: Alphabe
     return aut, final
 
 
-def bit_enrichment_scan(seed: int, count: int) -> list[SuiteRecord]:
-    """Investigation: compare knowledge-set memory with the one-bit
-    enrichment on micro instances; any verdict flip is surfaced."""
-    from qualtree.emptiness import enumerate_bit_enriched
+def with_memory_bit(g: ImperfectInfoArena, target) -> tuple[ImperfectInfoArena, frozenset]:
+    """`g` with one extra bit of memory built into the arena.
 
+    Vertex (v, bit) is observed as (obs(v), bit).  Action (a, f) plays a,
+    and f gives the next bit for each observation that occurs as a
+    successor, so (v, bit) moves to (w, f(obs w)).  A knowledge set of this
+    game is a knowledge set of `g` paired with one bit, so its knowledge-set
+    strategies are the strategies of `g` with (knowledge set, bit) memory.
+    """
+    entered = csorted({g.obs[w] for ds in g.trans.values() for d in ds for w in d})
+    updates = [tuple(zip(entered, bits))
+               for bits in itertools.product((0, 1), repeat=len(entered))]
+    vertices = tuple((v, bit) for v in g.vertices for bit in (0, 1))
+    actions = tuple((a, f) for a in g.actions for f in updates)
+    trans = {}
+    for a, f in actions:
+        nxt = dict(f)
+        for v in g.vertices:
+            trans[((v, 0), (a, f))] = trans[((v, 1), (a, f))] = tuple(
+                d.map(lambda w: (w, nxt[g.obs[w]])) for d in g.trans[(v, a)])
+    arena = ImperfectInfoArena(
+        vertices=vertices,
+        initial=(g.initial, 0),
+        actions=actions,
+        trans=trans,
+        obs={(v, bit): (g.obs[v], bit) for v, bit in vertices},
+    )
+    return arena, frozenset((v, bit) for v in target for bit in (0, 1))
+
+
+def bit_enrichment_scan(seed: int, count: int) -> list[SuiteRecord]:
+    """Investigation: compare knowledge-set memory with one extra bit on
+    micro instances, both by the blunt enumeration, the second on the
+    `with_memory_bit` product; any verdict flip is surfaced."""
     rng = random.Random(seed)
     records = []
     for i in range(count):
         aut, final = random_alternating_buchi(rng, max_states=2, max_symbols=2)
         game, target = build_emptiness_game(aut, final)
         plain, _ = solve_by_enumeration(game, target)
-        enriched, _ = enumerate_bit_enriched(game, target)
+        enriched, _ = solve_by_enumeration(*with_memory_bit(game, target))
         agree = plain == enriched
         records.append(
             SuiteRecord(i, "nonempty" if plain else "empty", agree, None,

@@ -92,8 +92,10 @@ def test_game_shape_matches_construction_arithmetic():
 
 def test_observation_classes_group_by_direction():
     aut = two_state_automaton()
-    game, _ = build_emptiness_game(aut, frozenset({"q1"}))
-    classes = game.observation_classes()
+    game, target = build_emptiness_game(aut, frozenset({"q1"}))
+    n = number_game(game, target)
+    classes = {o: {game.vertices[v] for v in _bits(mask)}
+               for o, mask in zip(n.observations, n.classes)}
     assert classes["0"] == {("q0", "0"), ("q1", "0")}
     assert classes["1"] == {("q0", "1"), ("q1", "1")}
     assert classes["e"] == {("q0", "e")}

@@ -13,6 +13,7 @@ from qualtree.errors import ResourceLimit
 from qualtree.games import (
     ELOISE,
     Mdp,
+    MdpView,
     PositionalStrategy,
     StochasticArena,
     _absorb,
@@ -166,6 +167,15 @@ def test_mec_self_loop_controller():
     g = arena({"v": "eloise"}, {"v": ("v",)})
     mecs = max_end_components(Mdp(g))
     assert mecs == [(frozenset({"v"}), frozenset({("v", "v")}))]
+
+
+def test_empty_candidate_has_no_end_components_without_tarjan(monkeypatch):
+    def no_sccs(adj):
+        raise AssertionError("sccs called on an empty candidate")
+
+    monkeypatch.setattr("qualtree.games.sccs", no_sccs)
+    view = MdpView(("s",), 0, ((frozenset({0}),),))
+    assert mec_decomposition(view, within=frozenset()) == []
 
 
 def test_mecs_of_pure_chain_coincide_with_bsccs():

@@ -9,16 +9,26 @@ from qualtree.automata import (
     cobuchi,
     universal_to_alternating,
 )
+from qualtree.emptiness import (
+    _named_beliefs,
+    build_emptiness_game,
+    solve_by_enumeration,
+    solve_imperfect_buchi,
+)
 from qualtree.markov import lasso_membership_word, prob_tree_membership
 from qualtree.reductions import lift_swap, universalize
 from qualtree.suite import (
     bit_enrichment_scan,
     emptiness_crosscheck,
+    random_alternating_buchi,
+    random_imperfect_arena,
     random_regular_tree,
     random_simple_pwa,
     random_tree_automaton,
+    with_memory_bit,
 )
 from qualtree.trees import branch_word, lasso
+from search_oracles import enumerate_bit_enriched
 
 AB = Alphabet(("a", "b"))
 
@@ -29,6 +39,53 @@ def test_bit_enrichment_never_flips_on_micro_instances():
     records = bit_enrichment_scan(seed=5, count=30)
     flips = [r.line() for r in records if not r.agree]
     assert not flips, "memory enrichment flipped a verdict: " + "; ".join(flips)
+
+
+def _memory_bit_draws():
+    """The 30 automaton games of `bit_enrichment_scan(5, 30)`, then the
+    seeded arenas with at most two observation classes and three knowledge
+    sets, on which every blunt enumeration finishes in milliseconds."""
+    rng = random.Random(5)
+    for _ in range(30):
+        yield build_emptiness_game(*random_alternating_buchi(rng, max_states=2, max_symbols=2))
+    rng = random.Random(7)
+    for _ in range(60):
+        game, target = random_imperfect_arena(rng, max_vertices=4, max_actions=3)
+        if len(set(game.obs.values())) <= 2 and len(_named_beliefs(game, 16)[0]) <= 3:
+            yield game, target
+
+
+def test_memory_bit_product_knowledge_sets_carry_one_bit():
+    """A knowledge set of the product is one of the game's, paired with one
+    bit: the product's knowledge-set memory is (knowledge set, bit)."""
+    for game, target in _memory_bit_draws():
+        plain = set(_named_beliefs(game, 16)[0])
+        product, product_target = with_memory_bit(game, target)
+        assert product.initial == (game.initial, 0)
+        assert product_target == {(v, bit) for v in target for bit in (0, 1)}
+        for b in _named_beliefs(product, 32)[0]:
+            assert len({bit for _, bit in b}) == 1
+            assert frozenset(v for v, _ in b) in plain
+
+
+def test_memory_bit_product_ties_the_bit_enriched_enumeration():
+    """One extra bit three ways: the enumeration over (knowledge set, bit)
+    memories with its own loop, the blunt enumeration on the
+    `with_memory_bit` product, and the pruned solver on the product."""
+    verdicts = []
+    for game, target in _memory_bit_draws():
+        reference, _ = enumerate_bit_enriched(game, target)
+        product = with_memory_bit(game, target)
+        assert solve_by_enumeration(*product)[0] == reference
+        assert solve_imperfect_buchi(*product)[0] == reference
+        verdicts.append(reference)
+    assert len(verdicts) > 60 and set(verdicts) == {False, True}
+
+
+def test_alternating_draws_use_up_to_max_symbols():
+    rng = random.Random(3)
+    sizes = {len(list(random_alternating_buchi(rng, 2, 3)[0].alphabet)) for _ in range(40)}
+    assert sizes == {1, 2, 3}
 
 
 def test_embedding_is_injective_and_preserves_counts():
