@@ -24,6 +24,7 @@ from qualtree.automata import (
     ProbTreeAutomaton,
     ProbWordAutomaton,
     TreeAutomaton,
+    cobuchi,
     universal_to_alternating,
     validate,
 )
@@ -271,11 +272,11 @@ def cmd_reduce(args) -> int:
     if args.transform == "sharp":
         accept = _require_accept(loaded, args.input)
         out, bad = sharp_gadget(aut, accept.target, sharp)
-        payload = serialize_automaton(out, acceptance_cobuchi(bad))
+        payload = serialize_automaton(out, cobuchi(bad))
     elif args.transform == "value1":
         accept = _require_accept(loaded, args.input)
         out, bad = value1_to_cobuchi(aut, accept.target, sharp)
-        payload = serialize_automaton(out, acceptance_cobuchi(bad))
+        payload = serialize_automaton(out, cobuchi(bad))
     elif args.transform == "lift1":
         payload = serialize_automaton(lift_diagonal(aut), loaded.acceptance)
     elif args.transform == "lift2":
@@ -293,12 +294,6 @@ def cmd_reduce(args) -> int:
     report.add("output-digest", digest(payload))
     report.emit(args.json)
     return EXIT_TRUE
-
-
-def acceptance_cobuchi(target):
-    from qualtree.automata import cobuchi
-
-    return cobuchi(target)
 
 
 def cmd_suite(args) -> int:

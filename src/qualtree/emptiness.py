@@ -24,7 +24,8 @@ the end components of its product with the knowledge sets, made of rows
 built once per (knowledge set, action).  The table without its deepest set
 was not refuted, so only a component through that set is sought.  All of
 this runs on supports, since a refutation only asks whether a target-free
-end component exists.  Names come back at the edge:
+end component exists; the arena itself holds only supports, as no verdict
+reads a weight.  Names come back at the edge:
 a winning table becomes a strategy on knowledge sets of vertex names,
 which still passes `check_observation_strategy`.  The blunt enumeration in
 `solve_by_enumeration` walks knowledge sets of names, shares only the
@@ -35,14 +36,14 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from qualtree.acceptance import qualitative_membership
 from qualtree.automata import (
     AlternatingTreeAutomaton,
     buchi,
 )
-from qualtree.dist import Distribution
 from qualtree.errors import DisagreementError, FormatError, ResourceLimit
 from qualtree.games import (
     OWN_ABELARD,
@@ -63,49 +64,33 @@ EPS_OBS = "e"
 DIRECTIONS = ("0", "1")
 
 
-@dataclass(frozen=True)
-class LocalChoice:
+class LocalChoice(NamedTuple):
     """One split-transition target pair per protagonist state."""
 
     assign: tuple[tuple[str, tuple[str, str]], ...]  # sorted by state
 
-    @classmethod
-    def of(cls, mapping: dict) -> "LocalChoice":
-        return cls(tuple(sorted(mapping.items())))
 
-
-@dataclass(frozen=True)
-class EmptinessAction:
-    """A tree symbol with a local choice.  Actions key every transition and
-    knowledge-set successor lookup, so the hash the dataclass would give,
-    `hash((symbol, choice))`, is computed once per action."""
+class EmptinessAction(NamedTuple):
+    """A tree symbol with a local choice."""
 
     symbol: str
     choice: LocalChoice
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.symbol, self.choice)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: unpickling recomputes it
-        return EmptinessAction, (self.symbol, self.choice)
 
 
 @dataclass(frozen=True)
 class ImperfectInfoArena:
     """Finite arena where the protagonist sees only observation classes.
 
-    For every vertex and action there is at least one transition
-    distribution; the opponent picks among them with full information.
+    For every vertex and action there is at least one move; the opponent
+    picks among them with full information, then a fair coin picks a vertex
+    of the move.  A move is its support, a tuple of distinct vertices: the
+    almost-sure verdict never depends on the weights.
     """
 
     vertices: tuple
     initial: object
     actions: tuple
-    trans: dict  # (vertex, action) -> tuple[Distribution, ...]
+    trans: dict  # (vertex, action) -> tuple of supports
     obs: dict  # vertex -> observation id
 
     def __post_init__(self):
@@ -116,12 +101,15 @@ class ImperfectInfoArena:
             if v not in self.obs:
                 raise ValueError(f"observation undefined for {v!r}")
             for a in self.actions:
-                ds = self.trans.get((v, a), ())
-                if not ds:
+                supports = self.trans.get((v, a), ())
+                if not supports:
                     raise ValueError(f"no transition for ({v!r}, {a!r})")
-                for d in ds:
-                    d.require_probability(f"transition at ({v!r}, {a!r})")
-                    if not d.support() <= vs:
+                for support in supports:
+                    if not support:
+                        raise ValueError(f"empty transition at ({v!r}, {a!r})")
+                    if len(set(support)) != len(support):
+                        raise ValueError(f"transition at ({v!r}, {a!r}) repeats a vertex")
+                    if not vs.issuperset(support):
                         raise ValueError(f"transition at ({v!r}, {a!r}) leaves arena")
 
     @classmethod
@@ -177,19 +165,17 @@ def build_emptiness_game(
     if n_actions > action_cap:
         raise ResourceLimit("action set size", action_cap)
 
-    def flip(q0: str, q1: str) -> Distribution:
-        return Distribution.half_half((q0, "0"), (q1, "1"))
-
+    # a coin flip sends the left target to direction 0, the right one to 1;
     # an opponent state's row on a symbol is the same for every action
-    theirs = {(q, s): tuple(flip(q0, q1) for (_, _, q0, q1) in rows[(q, s)])
+    theirs = {(q, s): tuple(((q0, "0"), (q1, "1")) for (_, _, q0, q1) in rows[(q, s)])
               for q in a.states if q not in a.eloise for s in a.alphabet}
     actions = []
-    mine: list = []  # per action, {protagonist state: its one distribution}
+    mine: list = []  # per action, {protagonist state: its one move}
     for s in a.alphabet:
         for combo in itertools.product(*(rows[(q, s)] for q in e_states)):
-            targets = {q: (t[2], t[3]) for q, t in zip(e_states, combo)}
-            actions.append(EmptinessAction(s, LocalChoice.of(targets)))
-            mine.append({q: (flip(*qs),) for q, qs in targets.items()})
+            targets = tuple((q, (t[2], t[3])) for q, t in zip(e_states, combo))
+            actions.append(EmptinessAction(s, LocalChoice(targets)))
+            mine.append({q: (((q0, "0"), (q1, "1")),) for q, (q0, q1) in targets})
 
     root = (a.initial, EPS_OBS)
     vertices = [root] + [(q, d) for q in csorted(a.states) for d in DIRECTIONS]
@@ -246,9 +232,9 @@ def _product_view(g: ImperfectInfoArena, s: ObservationStrategy) -> MdpView:
             raise ValueError(f"strategy act undefined on memory {m!r}, observation {o!r}")
         act = s.act[(m, o)]
         mvs = []
-        for d in g.trans[(v, act)]:
+        for support in g.trans[(v, act)]:
             step = set()
-            for v2 in d:
+            for v2 in support:
                 key = (m, g.obs[v2], act)
                 if key not in s.update:
                     raise ValueError(
@@ -315,7 +301,7 @@ def number_game(g: ImperfectInfoArena, target) -> NumberedGame:
     moves = []
     for v in g.vertices:
         for a in g.actions:
-            moves.append(tuple(tuple(vid[w] for w in d) for d in g.trans[(v, a)]))
+            moves.append(tuple(tuple(vid[w] for w in support) for support in g.trans[(v, a)]))
     post = tuple(_mask(w for support in supports for w in support) for supports in moves)
     return NumberedGame(g, vid[g.initial], obs, observations, classes, tuple(moves), post,
                         _mask(vid[v] for v in target if v in vid))
@@ -394,8 +380,8 @@ def _named_beliefs(g: ImperfectInfoArena, cap: int):
         for act in g.actions:
             buckets: dict = {}
             for v in b:
-                for d in g.trans[(v, act)]:
-                    for v2 in d:
+                for support in g.trans[(v, act)]:
+                    for v2 in support:
                         o = g.obs[v2]
                         if o in buckets:
                             buckets[o].add(v2)
@@ -736,7 +722,6 @@ class EmptinessResult:
     kind: str  # "empty" | "nonempty" | "resource-exceeded"
     witness: RegularTree | None = None
     strategy: ObservationStrategy | None = None
-    local_choices: dict | None = field(default=None, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -760,7 +745,7 @@ def check_emptiness(
         return EmptinessResult("resource-exceeded")
     if not verdict:
         return EmptinessResult("empty")
-    tree, choices = extract_witness(a, final, strat)
+    tree, _ = extract_witness(a, final, strat)
     if not qualitative_membership(a, buchi(final), tree):
         raise DisagreementError("extracted witness failed the membership check")
-    return EmptinessResult("nonempty", witness=tree, strategy=strat, local_choices=choices)
+    return EmptinessResult("nonempty", witness=tree, strategy=strat)

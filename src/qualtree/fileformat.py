@@ -175,10 +175,11 @@ def parse_automaton(text: str) -> LoadedAutomaton:
             if len(rest) != 3:
                 raise FormatError(f"ltrans line needs 3 tokens: {' '.join(line)}")
             ltrans.add(tuple(rest))
-        elif head == "ptrans":
-            pdelta[(rest[0], rest[1])] = dist_pairs(rest[2:], 2)
-        elif head == "pttrans":
-            pdelta[(rest[0], rest[1])] = dist_pairs(rest[2:], 3)
+        elif head in ("ptrans", "pttrans"):
+            key = tuple(rest[:2])
+            if key in pdelta:
+                raise FormatError(f"duplicate {head} row for {' '.join(key)}")
+            pdelta[key] = dist_pairs(rest[2:], 2 if head == "ptrans" else 3)
         else:
             raise FormatError(f"unknown line {head!r} in automaton file")
 

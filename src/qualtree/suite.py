@@ -177,14 +177,11 @@ def random_imperfect_arena(
     for v in vs:
         for a in actions:
             k = rng.choice([1, 1, 2])
-            ds = []
+            supports: dict = {}  # vertex set -> the first support drawn with it
             for _ in range(k):
-                support = rng.sample(vs, rng.randint(1, min(2, n)))
-                if len(support) == 1:
-                    ds.append(Distribution.point(support[0]))
-                else:
-                    ds.append(Distribution.half_half(*support))
-            trans[(v, a)] = tuple(dict.fromkeys(ds))
+                support = tuple(rng.sample(vs, rng.randint(1, min(2, n))))
+                supports.setdefault(frozenset(support), support)
+            trans[(v, a)] = tuple(supports.values())
     arena = ImperfectInfoArena(
         vertices=tuple(vs), initial=vs[0], actions=actions, trans=trans, obs=obs
     )
@@ -267,7 +264,8 @@ def with_memory_bit(g: ImperfectInfoArena, target) -> tuple[ImperfectInfoArena, 
     game is a knowledge set of `g` paired with one bit, so its knowledge-set
     strategies are the strategies of `g` with (knowledge set, bit) memory.
     """
-    entered = csorted({g.obs[w] for ds in g.trans.values() for d in ds for w in d})
+    entered = csorted({g.obs[w] for supports in g.trans.values() for support in supports
+                       for w in support})
     updates = [tuple(zip(entered, bits))
                for bits in itertools.product((0, 1), repeat=len(entered))]
     vertices = tuple((v, bit) for v in g.vertices for bit in (0, 1))
@@ -277,7 +275,7 @@ def with_memory_bit(g: ImperfectInfoArena, target) -> tuple[ImperfectInfoArena, 
         nxt = dict(f)
         for v in g.vertices:
             trans[((v, 0), (a, f))] = trans[((v, 1), (a, f))] = tuple(
-                d.map(lambda w: (w, nxt[g.obs[w]])) for d in g.trans[(v, a)])
+                tuple((w, nxt[g.obs[w]]) for w in support) for support in g.trans[(v, a)])
     arena = ImperfectInfoArena(
         vertices=vertices,
         initial=(g.initial, 0),

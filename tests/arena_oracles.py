@@ -8,6 +8,8 @@ no solver calls, is kept as a cross-check of the almost-sure solvers.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from qualtree.dist import Distribution
 from qualtree.games import StochasticArena
 
@@ -15,8 +17,8 @@ from qualtree.games import StochasticArena
 def named_full_information_arena(g, target: frozenset):
     """Perfect-information relaxation of an ``ImperfectInfoArena`` on named
     vertices: ("p", v) is the protagonist's vertex v, ("c", v, a) the
-    opponent's choice among the (v, a) distributions and ("z", v, a, i) the
-    coin of the i-th one."""
+    opponent's choice among the (v, a) supports and ("z", v, a, i) the
+    coin of the i-th one, which weights its support uniformly."""
     lift = {v: ("p", v) for v in g.vertices}
     ve, va, vr = set(lift.values()), set(), set()
     edges: dict = {}
@@ -26,13 +28,13 @@ def named_full_information_arena(g, target: frozenset):
         for a in g.actions:
             cv = ("c", v, a)
             va.add(cv)
-            ds = g.trans[(v, a)]
-            edges[cv] = tuple(("z", v, a, i) for i in range(len(ds)))
-            for i, d in enumerate(ds):
+            supports = g.trans[(v, a)]
+            edges[cv] = tuple(("z", v, a, i) for i in range(len(supports)))
+            for i, support in enumerate(supports):
                 zv = ("z", v, a, i)
                 vr.add(zv)
-                dist[zv] = d.map(lift.__getitem__)
-                edges[zv] = tuple(lift[v2] for v2 in d)
+                edges[zv] = tuple(lift[v2] for v2 in support)
+                dist[zv] = Distribution((w, Fraction(1, len(support))) for w in edges[zv])
     arena = StochasticArena._trusted(
         eloise=frozenset(ve),
         abelard=frozenset(va),

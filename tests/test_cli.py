@@ -229,6 +229,20 @@ def test_negative_weight_is_malformed(files, tmp_path, command, text):
     assert code == 2 and "verdict" not in out
 
 
+@pytest.mark.parametrize("command, text", [
+    ("word-membership", "kind prob-word\nalphabet a s\nstates q r\ninitial q\naccept buchi q\n"
+                        "ptrans q a 1 q\nptrans q a 1 r\nptrans q s 1 q\nptrans r a 1 r\n"
+                        "ptrans r s 1 r\n"),
+    ("ptree-membership", "kind prob-tree\nalphabet a\nstates q\ninitial q\naccept buchi q\n"
+                         "pttrans q a 1 q q\npttrans q a 1 q q\n"),
+], ids=["ptrans", "pttrans"])
+def test_repeated_probabilistic_row_is_malformed(files, tmp_path, command, text):
+    p = tmp_path / "repeated.aut"
+    p.write_text(text)
+    code, out = run_cli(command, str(p), str(files["word" if command == "word-membership" else "tree"]))
+    assert code == 2 and "verdict" not in out
+
+
 @pytest.mark.parametrize("line", ["initial", "initial q r"], ids=["no-state", "two-states"])
 def test_malformed_initial_line(files, tmp_path, line):
     p = tmp_path / "initial.aut"

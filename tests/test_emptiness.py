@@ -43,7 +43,6 @@ from qualtree.emptiness import (
     _wins_full_information,
 )
 from qualtree.errors import FormatError, ResourceLimit
-from qualtree.dist import Distribution
 from qualtree.games import MdpView, _attractor, almost_sure_buchi, mec_decomposition
 from qualtree.ordering import ckey, csorted
 from qualtree.gallery import (
@@ -122,7 +121,7 @@ def single_vertex_arena(in_target: bool):
         vertices=("v",),
         initial="v",
         actions=act,
-        trans={("v", "go"): (Distribution.point("v"),)},
+        trans={("v", "go"): (("v",),)},
         obs={"v": "o"},
     )
     strat = ObservationStrategy(
@@ -132,6 +131,17 @@ def single_vertex_arena(in_target: bool):
         update={("m", "o", "go"): "m"},
     )
     return arena, strat, frozenset({"v"} if in_target else set())
+
+
+@pytest.mark.parametrize("support, message", [
+    ((), "empty transition"),
+    (("v", "v"), "repeats a vertex"),
+    (("v", "w"), "leaves arena"),
+], ids=["empty", "repeated", "outside"])
+def test_arena_rejects_a_bad_support(support, message):
+    with pytest.raises(ValueError, match=message):
+        ImperfectInfoArena(vertices=("v",), initial="v", actions=("go",),
+                           trans={("v", "go"): (support,)}, obs={"v": "o"})
 
 
 def test_check_strategy_trivial_cases():
@@ -174,13 +184,13 @@ def test_check_strategy_monte_carlo_consistency():
         while i < len(states):
             v, m = states[i]
             a = strat.act[(m, arena.obs[v])]
-            ds = arena.trans[(v, a)]
+            supports = arena.trans[(v, a)]
             weights = {}
-            for d in ds:
-                for v2, p in d.items():
+            for support in supports:  # each support weighted uniformly
+                for v2 in csorted(support):
                     m2 = strat.update[(m, arena.obs[v2], a)]
                     j = state_id((v2, m2))
-                    weights[j] = weights.get(j, 0.0) + float(p) / len(ds)
+                    weights[j] = weights.get(j, 0.0) + 1 / len(support) / len(supports)
             rows[i] = weights
             i += 1
         size = len(states)
@@ -385,7 +395,7 @@ def test_full_information_refutation_needs_no_knowledge_sets():
 
 # ---------------------------------------------------------------------------
 # The integer-id fast paths against the code they replaced, kept here only as
-# the oracle: the Distribution-based partial product with its end-component
+# the oracle: the named partial product with its end-component
 # refutation, and the sweep attractor of the sure-winning short-cut.
 # ---------------------------------------------------------------------------
 
@@ -400,10 +410,10 @@ def _old_partial_refuted(g, target, assign, post):
         states.append((v, b))
         a = assign[b]
         mvs = []
-        for d in g.trans[(v, a)]:
-            d2 = d.map(lambda v2: (v2, post[(b, a)][g.obs[v2]]))
-            mvs.append(d2.support())
-            for st in d2.support():
+        for support in g.trans[(v, a)]:
+            d2 = frozenset((v2, post[(b, a)][g.obs[v2]]) for v2 in support)
+            mvs.append(d2)
+            for st in d2:
                 if st not in seen:
                     seen.add(st)
                     queue.append(st)
