@@ -2,7 +2,8 @@
 """Walk through the emptiness pipeline on two contrasting instances.
 
 The first automaton accepts the constant tree; the decision returns a
-regular witness whose membership is reconfirmed by the pebble game.  The
+regular witness whose membership is reconfirmed by the pebble game, and a
+strategy that passes the exact product check of the emptiness game.  The
 second lets the opponent demand two incompatible uniform labelings; the
 blind game is lost (the language is empty) although a state-observing
 variant of the same arena would be won, which is exactly the leak the
@@ -14,6 +15,7 @@ from qualtree.automata import buchi
 from qualtree.emptiness import (
     build_emptiness_game,
     check_emptiness,
+    check_observation_strategy,
     fully_observable,
     solve_imperfect_buchi,
 )
@@ -30,6 +32,8 @@ def main() -> None:
     print("membership re-check:", qualitative_membership(aut, buchi(final), result.witness))
     print("strategy table:")
     print(serialize_strategy(result.strategy), end="")
+    game, target = build_emptiness_game(aut, final)
+    print("strategy check:", check_observation_strategy(game, target, result.strategy))
 
     aut2, core = contradictory_uniformity_automaton()
     result2 = check_emptiness(aut2, core)

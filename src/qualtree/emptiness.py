@@ -25,11 +25,14 @@ built once per (knowledge set, action).  The table without its deepest set
 was not refuted, so only a component through that set is sought.  All of
 this runs on supports, since a refutation only asks whether a target-free
 end component exists; the arena itself holds only supports, as no verdict
-reads a weight.  Names come back at the edge:
-a winning table becomes a strategy on knowledge sets of vertex names,
-which still passes `check_observation_strategy`.  The blunt enumeration in
-`solve_by_enumeration` walks knowledge sets of names, shares only the
-backtracking order, and re-derives every verdict with that exact check.
+reads a weight.  Names come back at the edge: a winning table becomes a
+strategy on knowledge sets of vertex names.  The solver does not re-check
+it; the tests, the crosscheck suite and the probes run
+`check_observation_strategy` on the strategies it returns, and
+`check_emptiness` decides the witness tree it ships by membership.  The
+blunt enumeration in `solve_by_enumeration` walks knowledge sets of names,
+shares only the backtracking order, and re-derives every verdict with that
+exact check.
 """
 
 from __future__ import annotations
@@ -620,10 +623,13 @@ def solve_imperfect_buchi(
     """Decide almost-sure repeated reach for the blind protagonist.
 
     Verdict true iff some pure knowledge-set strategy passes the exact
-    product check; the returned witness always does.  The game is numbered
-    once.  The full-information refutation runs first, so it needs no
-    knowledge sets; the sure-winning short-cut and the search then run on
-    knowledge-set masks and ids.
+    product check `check_observation_strategy`, and the strategy returned
+    is one, but the call does not check it: the tests, the crosscheck
+    suite and the probes check the strategies it returns, and
+    `check_emptiness` checks the witness tree it ships by membership.  The
+    game is numbered once.  The full-information refutation runs first, so
+    it needs no knowledge sets; the sure-winning short-cut and the search
+    then run on knowledge-set masks and ids.
     """
     target = frozenset(target)
     if not target:
@@ -637,10 +643,7 @@ def solve_imperfect_buchi(
         table = _search_belief_table(n, masks, post)
     if table is None:
         return False, None
-    strat = _named_strategy(n, masks, table, post)
-    if not check_observation_strategy(g, target, strat):
-        raise DisagreementError("synthesised strategy failed its own check")
-    return True, strat
+    return True, _named_strategy(n, masks, table, post)
 
 
 def solve_by_enumeration(
@@ -736,7 +739,12 @@ def check_emptiness(
     action_cap: int = 2**18,
 ) -> EmptinessResult:
     """Full decision: empty, or non-empty with an independently verified
-    regular witness tree; resource exhaustion is a distinct third outcome."""
+    regular witness tree; resource exhaustion is a distinct third outcome.
+
+    A non-empty verdict gets one check inside the call: the witness tree is
+    decided by `qualitative_membership`, which runs no code of the
+    knowledge-set search, and a rejected tree raises `DisagreementError`.
+    """
     final = frozenset(final)
     try:
         game, target = build_emptiness_game(a, final, action_cap=action_cap)

@@ -14,8 +14,12 @@ region comes from two attractors on ids, one worklist attractor for both: the
 protagonist's attractor to the target (her vertices and the coin's
 attract), and, while it misses some vertex of the region, the opponent's
 attractor to the missed vertices (his vertices and the coin's attract),
-which is removed from the region.  Almost-sure reachability is the same
-fixed point on the arena with the target made absorbing.
+which is removed from the region.  The core holds its sets as flat
+buffers: the region and the vertices still waiting to join are flags in
+bytearrays, the counters are lists of ints, and an attractor records the
+step at which each vertex joins, from which the protagonist's choice is
+read.  Almost-sure reachability is the same fixed point on the arena with
+the target made absorbing.
 
 The normative definition of correctness is the positional-strategy
 enumeration oracle in :mod:`qualtree.game_oracles`; the fixed point here
@@ -310,37 +314,40 @@ def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _attractor(succ: list, pred: list, region: set, base: set, attracts: Sequence):
-    """Nodes of `region` from which the player owning the nodes where
-    `attracts[v]` is true forces a visit to `base`, in the order they join,
-    and for each joining node of that player the successor it moves to.
+def _attractor(pred: list, waiting: bytearray, base: list, attracts, left: list) -> list:
+    """Step at which each node joins the attractor of `base`, -1 for a node
+    that does not join.
 
-    A worklist over predecessor counts, O(edges) for the region.  A node of
-    the attracting player joins with its first successor to join, any other
-    node once all its successors inside `region` have.  It goes round by
-    round, as a sweep to the fixed point does: an attracting node joins in
-    the round of its successor, any other node one round after its last one.
-    The chosen successor is the first in `succ[v]` of the round the node
-    joined in.
+    The region is the nodes where `waiting` is set, and `base` is a sorted
+    list of some of them.  The player owning the nodes where `attracts[v]`
+    is set forces a visit to `base`.  A node of that player joins with its
+    first successor to join, any other node once all its successors inside
+    the region have: `left[v]` counts those, and is counted down.  `waiting`
+    is cleared as nodes join, so afterwards it flags the nodes missed.
+
+    A worklist over predecessor counts, O(edges) for the region.  It goes
+    round by round, as a sweep to the fixed point does: the nodes of one
+    step pull in the attracting nodes of the next, and a non-attracting
+    node that is ready waits until none joins, then joins in the next step
+    with every other one ready.  So an attracting node's witness, its first
+    successor to join, is its first successor whose step is one lower.
     """
-    left = {}  # non-attracting node -> successors in region still outside
-    for v in region:
-        if not attracts[v] and v not in base:
-            left[v] = len(region.intersection(succ[v]))
-    frontier = sorted(base & region)
-    later = sorted(v for v, n in left.items() if n == 0)
-    waiting = bytearray(len(succ))  # 1 for a node of region yet to join
-    for v in region.difference(frontier, later):
-        waiting[v] = 1
-    order: list = []
-    witness: dict = {}
+    step = [-1] * len(waiting)
+    for v in base:
+        waiting[v] = 0
+    # non-attracting nodes with no successor in the region are ready at once
+    later = [v for v in itertools.compress(range(len(waiting)), waiting)
+             if not left[v] and not attracts[v]] if 0 in left else []
+    for v in later:
+        waiting[v] = 0
+    frontier = base
+    k = 0
     while frontier or later:
         if not frontier:
             frontier, later = later, []
-        order += frontier
-        now = set(frontier)
         same = []
         for w in frontier:
+            step[w] = k
             for v in pred[w]:
                 if not waiting[v]:
                     continue
@@ -353,13 +360,9 @@ def _attractor(succ: list, pred: list, region: set, base: set, attracts: Sequenc
                     if not n:
                         waiting[v] = 0
                         later.append(v)
-        for v in same:
-            for w in succ[v]:
-                if w in now:
-                    witness[v] = w
-                    break
         frontier = same
-    return order, witness
+        k += 1
+    return step
 
 
 def number(g: StochasticArena, target) -> tuple[Arena, frozenset, tuple]:
@@ -374,6 +377,13 @@ def number(g: StochasticArena, target) -> tuple[Arena, frozenset, tuple]:
     return Arena(succ, owner, vid[g.initial]), goal, names
 
 
+# Owner codes to flags: the protagonist's attractor (her nodes and the
+# coin's), the opponent's (his and the coin's) and her own nodes.
+_HERS = bytes.maketrans(bytes([OWN_ELOISE, OWN_ABELARD, OWN_RANDOM]), bytes([1, 0, 1]))
+_HIS = bytes.maketrans(bytes([OWN_ELOISE, OWN_ABELARD, OWN_RANDOM]), bytes([0, 1, 1]))
+_HERS_ONLY = bytes.maketrans(bytes([OWN_ELOISE, OWN_ABELARD, OWN_RANDOM]), bytes([1, 0, 0]))
+
+
 def _as_buchi_core(a: Arena, goal: frozenset):
     """Greatest region that is escape-proof and everywhere positively attracted
     to the target; returns (region, eloise choice map), both on ids.
@@ -386,32 +396,48 @@ def _as_buchi_core(a: Arena, goal: frozenset):
     escape-proof, and the loop goes round again.  Each round is O(edges) and
     removes at least one vertex.
 
-    The protagonist moves to her witness in the last attractor, which joined
-    it a round earlier, and from a target vertex to her first successor
-    inside the region.  Neither depends on the numbering.
+    The region is a flag per vertex, and apart from the predecessor lists
+    a call allocates only flat buffers.  Invariant: the opponent's and the
+    coin's vertices in the region keep all their successors in it, because
+    the removed attractor takes any that has a successor it takes.  So the
+    protagonist's attractor counts an opponent vertex down from its degree,
+    copied from a list made once.  The opponent's attractor counts her
+    vertices down from the number of their successors inside the region,
+    kept across rounds: each removal lowers it by the successors it takes.
+
+    The protagonist moves to her witness in the last attractor, her first
+    successor that joined it one step before her, and from a target vertex
+    to her first successor inside the region.  Neither depends on the
+    numbering.
     """
     succ, owner = a.succ, a.owner
+    n = len(succ)
     pred: list = [[] for _ in succ]
     for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
-    hers = [o != OWN_ABELARD for o in owner]
-    his = [o != OWN_ELOISE for o in owner]
-    region = set(range(len(succ)))
+    hers, his = owner.translate(_HERS), owner.translate(_HIS)
+    degree = list(map(len, succ))
+    inner = degree.copy()  # her vertices' successors inside the region
+    targets = sorted(goal)
+    region = bytearray(b"\x01") * n
     while True:
-        attr, witness = _attractor(succ, pred, region, goal & region, hers)
-        lost = region.difference(attr)
-        if not lost:
+        waiting = bytearray(region)
+        step = _attractor(pred, waiting, [v for v in targets if region[v]], hers, degree.copy())
+        if 1 not in waiting:
             break
-        trap, _ = _attractor(succ, pred, region, lost, his)
-        region.difference_update(trap)
-        if not region:
+        _attractor(pred, region, list(itertools.compress(range(n), waiting)), his, inner)
+        if 1 not in region:
             return frozenset(), {}
     choice = {}
-    for v in sorted(region):
-        if owner[v] == OWN_ELOISE:
-            choice[v] = witness[v] if v in witness else next(w for w in succ[v] if w in region)
-    return frozenset(region), choice
+    for v in itertools.compress(range(n), owner.translate(_HERS_ONLY)):
+        if region[v]:
+            k = step[v] - 1  # -1 for a target vertex
+            for w in succ[v]:
+                if region[w] if k < 0 else step[w] == k:
+                    choice[v] = w
+                    break
+    return frozenset(itertools.compress(range(n), region)), choice
 
 
 def almost_sure_buchi(g, target) -> tuple[frozenset, PositionalStrategy]:

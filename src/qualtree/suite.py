@@ -23,6 +23,7 @@ from qualtree.emptiness import (
     ImperfectInfoArena,
     build_emptiness_game,
     check_emptiness,
+    check_observation_strategy,
     solve_by_enumeration,
 )
 from qualtree.games import StochasticArena
@@ -212,10 +213,9 @@ class SuiteRecord:
 
 def emptiness_crosscheck(seed: int, count: int, max_states: int) -> list[SuiteRecord]:
     """Criterion suite: efficient emptiness decision versus the knowledge-set
-    strategy enumeration, witness verification included."""
-    from qualtree.acceptance import qualitative_membership
-    from qualtree.automata import buchi
-
+    strategy enumeration.  A non-empty verdict's strategy must also pass the
+    exact product check; `check_emptiness` has already checked its witness
+    tree by membership."""
     rng = random.Random(seed)
     records = []
     for i in range(count):
@@ -227,7 +227,7 @@ def emptiness_crosscheck(seed: int, count: int, max_states: int) -> list[SuiteRe
         witness_ok = None
         detail = f"states={len(aut.states)} actions={len(game.actions)}"
         if result.kind == "nonempty":
-            witness_ok = qualitative_membership(aut, buchi(final), result.witness)
+            witness_ok = check_observation_strategy(game, target, result.strategy)
             detail += f" witness-nodes={len(result.witness.nodes)}"
         records.append(SuiteRecord(i, result.kind, agree, witness_ok, detail))
     return records

@@ -1,17 +1,22 @@
-"""Named-arena constructions that only the tests use.
+"""Arena constructions and solvers that only the tests use.
 
 ``qualtree.emptiness`` builds its full-information relaxation directly as an
 integer ``games.Arena``.  The named ``StochasticArena`` it replaced is kept
 here as the oracle of that arena.  The Büchi-to-reachability gadget, which
-no solver calls, is kept as a cross-check of the almost-sure solvers.
+no solver calls, is kept as a cross-check of the almost-sure solvers.  The
+almost-sure Büchi core on sets and dicts, ``_as_buchi_core`` with its
+``_attractor``, is kept as the oracle of the flat-buffer core in
+``qualtree.games`` that replaced it: both must give the same region and the
+same choices, in the same key order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from qualtree.dist import Distribution
-from qualtree.games import StochasticArena
+from qualtree.games import OWN_ABELARD, OWN_ELOISE, Arena, StochasticArena
 
 
 def named_full_information_arena(g, target: frozenset):
@@ -83,3 +88,95 @@ def buchi_to_reachability(g: StochasticArena, target) -> tuple[StochasticArena, 
         initial=g.initial,
     )
     return g2, frozenset({goal})
+
+
+def _attractor(succ: list, pred: list, region: set, base: set, attracts: Sequence):
+    """Nodes of `region` from which the player owning the nodes where
+    `attracts[v]` is true forces a visit to `base`, in the order they join,
+    and for each joining node of that player the successor it moves to.
+
+    A worklist over predecessor counts, O(edges) for the region.  A node of
+    the attracting player joins with its first successor to join, any other
+    node once all its successors inside `region` have.  It goes round by
+    round, as a sweep to the fixed point does: an attracting node joins in
+    the round of its successor, any other node one round after its last one.
+    The chosen successor is the first in `succ[v]` of the round the node
+    joined in.
+    """
+    left = {}  # non-attracting node -> successors in region still outside
+    for v in region:
+        if not attracts[v] and v not in base:
+            left[v] = len(region.intersection(succ[v]))
+    frontier = sorted(base & region)
+    later = sorted(v for v, n in left.items() if n == 0)
+    waiting = bytearray(len(succ))  # 1 for a node of region yet to join
+    for v in region.difference(frontier, later):
+        waiting[v] = 1
+    order: list = []
+    witness: dict = {}
+    while frontier or later:
+        if not frontier:
+            frontier, later = later, []
+        order += frontier
+        now = set(frontier)
+        same = []
+        for w in frontier:
+            for v in pred[w]:
+                if not waiting[v]:
+                    continue
+                if attracts[v]:
+                    waiting[v] = 0
+                    same.append(v)
+                else:
+                    n = left[v] - 1
+                    left[v] = n
+                    if not n:
+                        waiting[v] = 0
+                        later.append(v)
+        for v in same:
+            for w in succ[v]:
+                if w in now:
+                    witness[v] = w
+                    break
+        frontier = same
+    return order, witness
+
+
+def _as_buchi_core(a: Arena, goal: frozenset):
+    """Greatest region that is escape-proof and everywhere positively attracted
+    to the target; returns (region, eloise choice map), both on ids.
+
+    Starting from all vertices, the loop computes the protagonist's
+    attractor to the target inside the region, where her vertices and the
+    coin's attract.  When it covers the region, the region is the answer.
+    Otherwise the opponent's attractor to the vertices it misses, where his
+    vertices and the coin's attract, is removed, which leaves the region
+    escape-proof, and the loop goes round again.  Each round is O(edges) and
+    removes at least one vertex.
+
+    The protagonist moves to her witness in the last attractor, which joined
+    it a round earlier, and from a target vertex to her first successor
+    inside the region.  Neither depends on the numbering.
+    """
+    succ, owner = a.succ, a.owner
+    pred: list = [[] for _ in succ]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    hers = [o != OWN_ABELARD for o in owner]
+    his = [o != OWN_ELOISE for o in owner]
+    region = set(range(len(succ)))
+    while True:
+        attr, witness = _attractor(succ, pred, region, goal & region, hers)
+        lost = region.difference(attr)
+        if not lost:
+            break
+        trap, _ = _attractor(succ, pred, region, lost, his)
+        region.difference_update(trap)
+        if not region:
+            return frozenset(), {}
+    choice = {}
+    for v in sorted(region):
+        if owner[v] == OWN_ELOISE:
+            choice[v] = witness[v] if v in witness else next(w for w in succ[v] if w in region)
+    return frozenset(region), choice

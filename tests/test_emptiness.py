@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qualtree
+import qualtree.emptiness as emptiness_module
 from qualtree.acceptance import qualitative_membership
 from qualtree.automata import (
     Alphabet,
@@ -42,8 +43,9 @@ from qualtree.emptiness import (
     _table_refuter,
     _wins_full_information,
 )
-from qualtree.errors import FormatError, ResourceLimit
+from qualtree.errors import DisagreementError, FormatError, ResourceLimit
 from qualtree.games import MdpView, _attractor, almost_sure_buchi, mec_decomposition
+import qualtree.games as games_module
 from qualtree.ordering import ckey, csorted
 from qualtree.gallery import (
     contradictory_uniformity_automaton,
@@ -54,7 +56,7 @@ from qualtree.suite import (
     random_imperfect_arena,
     random_regular_tree,
 )
-from arena_oracles import named_full_information_arena
+from arena_oracles import _as_buchi_core as set_as_buchi_core, named_full_information_arena
 from search_oracles import closed_tables_by_walk, whole_product_refuter
 
 
@@ -257,6 +259,26 @@ def test_check_emptiness_trivial_nonempty():
 def test_check_emptiness_named_empty():
     aut, core = contradictory_uniformity_automaton()
     assert check_emptiness(aut, core).kind == "empty"
+
+
+def test_membership_check_stops_a_wrong_nonempty_verdict(monkeypatch):
+    """The solver does not re-check its own strategy, so the membership
+    check of the extracted tree is what stops a losing table: here the
+    search is made to return the first closed table of a game whose
+    language is empty, though its full-information relaxation is won."""
+    aut, core = contradictory_uniformity_automaton()
+    game, target = build_emptiness_game(aut, core)
+    assert _wins_full_information(number_game(game, target))
+
+    def first_table(n, masks, post):
+        return dict(next(_closed_tables(0, post, range(len(n.g.actions)))))
+
+    monkeypatch.setattr(emptiness_module, "_sure_belief_strategy", lambda n, masks, post: None)
+    monkeypatch.setattr(emptiness_module, "_search_belief_table", first_table)
+    verdict, strat = solve_imperfect_buchi(game, target)
+    assert verdict and not check_observation_strategy(game, target, strat)
+    with pytest.raises(DisagreementError, match="extracted witness failed the membership check"):
+        check_emptiness(aut, core)
 
 
 def test_extract_witness_constant_strategy():
@@ -623,15 +645,23 @@ def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
         for region in regions:
             for base, for_eloise in ((goal & region, True), (set(rng.sample(sorted(region), len(region) // 4)), False)):
                 attracts = [(v < n_b) == for_eloise for v in range(len(succ))]
-                order, witness = _attractor(succ, pred, region, base, attracts)
+                waiting = bytearray(v in region for v in range(len(succ)))
+                left = [len(region.intersection(ws)) for ws in succ]
+                step = _attractor(pred, waiting, sorted(base), attracts, left)
                 old_attr, old_witness = _det_attractor(
                     {node[v] for v in region}, owner_is_e, old_succ.get,
                     {node[v] for v in base}, for_eloise)
-                assert len(order) == len(set(order))
-                assert {node[v] for v in order} == old_attr
-                position = {v: i for i, v in enumerate(order)}
+                joined = {v for v, k in enumerate(step) if k >= 0}
+                assert joined <= region and {v for v in region if waiting[v]} == region - joined
+                assert {node[v] for v in joined} == old_attr
+                assert {v for v in joined if step[v] == 0} >= base
+                witness = {v: next(x for x in succ[v] if step[x] == step[v] - 1)
+                           for v in joined if attracts[v] and v not in base}
                 for v, x in witness.items():
-                    assert x in succ[v] and position[x] < position[v]
+                    assert x in succ[v] and step[x] < step[v]
+                for v in joined - base:
+                    if not attracts[v]:
+                        assert all(step[v] > step[x] for x in succ[v] if x in region)
                 if for_eloise:
                     assert {node[v]: node[x] for v, x in witness.items()} == old_witness
         table = _sure_belief_strategy(w.n, w.masks, w.post)
@@ -640,6 +670,31 @@ def test_worklist_attractor_matches_sweep_on_knowledge_set_games():
             assert old is None or _reached(initial_belief(game), old, w.named)[1] is not None
         else:
             assert w.assign(table) == old
+
+
+def test_flat_core_matches_set_core_on_knowledge_set_games(monkeypatch):
+    """Every arena the emptiness short-cuts solve, the knowledge-set game of
+    `_sure_belief_strategy` and the full-information arena, gets the same
+    region and the same choices, in the same order, from the core on sets."""
+    core, calls = games_module._as_buchi_core, []
+
+    def recorded(a, goal):
+        calls.append((a, goal))
+        return core(a, goal)
+
+    walks = _knowledge_games(83, 80)
+    monkeypatch.setattr(emptiness_module, "_as_buchi_core", recorded)
+    monkeypatch.setattr(games_module, "_as_buchi_core", recorded)
+    for w in walks:
+        _sure_belief_strategy(w.n, w.masks, w.post)
+        _wins_full_information(w.n)
+    monkeypatch.undo()
+    assert len(calls) == 160
+    for a, goal in calls:
+        region, choice = core(a, goal)
+        old_region, old_choice = set_as_buchi_core(a, goal)
+        assert region == old_region
+        assert list(choice.items()) == list(old_choice.items())
 
 
 # ---------------------------------------------------------------------------

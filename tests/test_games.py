@@ -5,18 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from qualtree.acceptance import build_acceptance_game, qualitative_membership
+from qualtree.acceptance import (
+    _membership_arena,
+    build_acceptance_game,
+    qualitative_membership,
+    state_ids,
+)
 from qualtree.automata import cobuchi
 from qualtree.dist import Distribution
 from qualtree.emptiness import ImperfectInfoArena, build_emptiness_game
 from qualtree.errors import ResourceLimit
 from qualtree.games import (
     ELOISE,
+    Arena,
     Mdp,
     MdpView,
     PositionalStrategy,
     StochasticArena,
     _absorb,
+    _as_buchi_core,
     _ids,
     _positive_buchi_view,
     almost_sure_buchi,
@@ -44,6 +51,7 @@ from qualtree.suite import (
     random_regular_tree,
     random_target,
 )
+import arena_oracles
 from arena_oracles import buchi_to_reachability, named_full_information_arena
 from weighted_chains import as_markov_chain, named_bottoms, support_chain
 
@@ -624,6 +632,51 @@ def test_integer_core_matches_sweep_on_acceptance_arenas():
         won += g.initial in region_b
         lost += g.initial not in region_b
     assert won > 10 and lost > 10
+
+
+def _random_int_arena(rng):
+    """1 to 30 vertices of mixed owners, each with 1 to 3 distinct
+    successors, and about a fifth of them in the goal."""
+    n = rng.randint(1, 30)
+    succ = [tuple(rng.sample(range(n), rng.randint(1, min(3, n)))) for _ in range(n)]
+    owner = bytes(rng.randrange(3) for _ in range(n))
+    goal = frozenset(v for v in range(n) if rng.random() < 0.2)
+    return Arena(succ, owner, 0), goal
+
+
+def _membership_int_arenas(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        aut, final = random_alternating_buchi(rng, max_states=6)
+        t = random_regular_tree(rng, 8, aut.alphabet)
+        states = csorted(aut.states)
+        arena = _membership_arena(aut, states, t)
+        for target in (final, frozenset(), aut.states):
+            yield arena, state_ids(states, target, t)
+
+
+def test_flat_core_matches_set_core(monkeypatch):
+    """The flat-buffer core gives the region and the choices, in the same
+    key order, of the core on sets that it replaced, on random arenas, many
+    of which take more than one round, and on membership arenas."""
+    attractor, calls = arena_oracles._attractor, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return attractor(*args)
+
+    monkeypatch.setattr(arena_oracles, "_attractor", counted)
+    rng = random.Random(61)
+    arenas = [_random_int_arena(rng) for _ in range(2000)]
+    several = 0
+    for a, goal in itertools.chain(arenas, _membership_int_arenas(67, 60)):
+        calls[0] = 0
+        old_region, old_choice = arena_oracles._as_buchi_core(a, goal)
+        several += calls[0] > 2  # a second round starts with a third attractor
+        region, choice = _as_buchi_core(a, goal)
+        assert region == old_region
+        assert list(choice.items()) == list(old_choice.items())
+    assert several >= 500
 
 
 def _revalidated(g):
