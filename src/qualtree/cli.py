@@ -195,6 +195,7 @@ def cmd_membership(args) -> int:
     accept = _require_accept(loaded, args.automaton)
     aut = _as_alternating(loaded, args.automaton)
     t = _load_tree(args.tree, report)
+    _require_symbols(t.label.values(), aut.alphabet, args.tree)
     verdict = qualitative_membership(aut, accept, t)
     report.add("verdict", "member" if verdict else "nonmember")
     report.add("oracle-agreement", "n/a")

@@ -4,8 +4,11 @@ import random
 import pytest
 
 from qualtree.acceptance import (
+    _node_attractor,
+    _node_game,
     build_acceptance_game,
     build_tree_game_arena,
+    buchi_node_region,
     qualitative_membership,
     random_vertex,
     state_ids,
@@ -22,11 +25,15 @@ from qualtree.automata import (
 from qualtree.dist import Distribution
 from qualtree.errors import FormatError
 from qualtree.gallery import constant_tree, contradictory_uniformity_automaton
+from qualtree.game_oracles import oracle_almost_sure_buchi
 from qualtree.games import (
     OWN_ABELARD,
     OWN_ELOISE,
+    OWN_RANDOM,
     PositionalStrategy,
     StochasticArena,
+    _as_buchi_core,
+    _attractor,
     almost_sure_buchi,
     check_buchi_strategy,
     number,
@@ -296,3 +303,145 @@ def test_two_sided_split_membership_implies_probabilistic_membership():
             implications += 1
             assert prob_tree_membership(lift_swap(a), final, t)
     assert implications >= 5  # the implication premise actually fires
+
+
+# ---------------------------------------------------------------------------
+# Büchi membership on node masks against the pebble arena it replaced: the
+# flat core on the integer arena, and the enumeration oracle on the named one.
+# ---------------------------------------------------------------------------
+
+
+def _arena(aut, states, t):
+    return build_tree_game_arena(
+        states=states, eloise=aut.eloise, split_transitions=aut.transitions,
+        local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+
+
+def _mask_ids(masks, width) -> frozenset:
+    """State-vertex ids of a node-mask region: bit r of node n is r·width + n."""
+    return frozenset(r * width + n for n, m in enumerate(masks)
+                     for r in range(m.bit_length()) if m >> r & 1)
+
+
+def test_node_region_is_the_arena_cores_region():
+    """10,000 small draws and 40 large ones: the node masks hold exactly the
+    state vertices of the core's region on the pebble arena."""
+    rng = random.Random(11)
+    partial = 0
+    for max_states, max_nodes in [(7, 14)] * 10_000 + [(16, 300)] * 40:
+        aut, final = random_alternating_buchi(rng, max_states, max_symbols=3)
+        t = random_regular_tree(rng, max_nodes, aut.alphabet)
+        states = csorted(aut.states)
+        width = len(t.nodes)
+        region, _ = _as_buchi_core(_arena(aut, states, t), state_ids(states, final, t))
+        on_states = frozenset(v for v in region if v < len(states) * width)
+        assert _mask_ids(buchi_node_region(aut, states, final, t), width) == on_states
+        partial += 0 < len(on_states) < len(states) * width
+    assert partial >= 100
+
+
+def test_node_attractor_is_the_arena_attractor():
+    """On random regions and bases, escape-proof or not, `_node_attractor`
+    joins exactly the state vertices that `games._attractor` joins on the
+    pebble arena, whose region holds those state vertices and the coins
+    whose children both lie in it."""
+    rng = random.Random(17)
+    vacuous = 0
+    for _ in range(1500):
+        aut, _ = random_alternating_buchi(rng, max_states=6, max_symbols=2)
+        eloise = frozenset(q for q in aut.states if rng.random() < 0.5)
+        aut = dataclasses.replace(aut, eloise=eloise, abelard=aut.states - eloise)
+        t = random_regular_tree(rng, 8, aut.alphabet)
+        states = csorted(aut.states)
+        k, width = len(states), len(t.nodes)
+        region = [sum(1 << r for r in range(k) if rng.random() < 0.8) for _ in t.nodes]
+        base = [m & sum(1 << r for r in range(k) if rng.random() < 0.2) for m in region]
+        arena = _arena(aut, states, t)
+        inside = bytearray(region[v % width] >> (v // width) & 1 for v in range(k * width))
+        inside += bytes(all(inside[w] for w in ws) for ws in arena.succ[k * width:])
+        pred: list = [[] for _ in arena.succ]
+        for v, ws in enumerate(arena.succ):
+            for w in ws:
+                pred[w].append(v)
+        left = [sum(inside[w] for w in ws) for ws in arena.succ]
+        vacuous += any(inside[v] and not left[v] for v in range(k * width))
+        hers = sum(1 << r for r, q in enumerate(states) if q in eloise)
+        ids = sorted(r * width + n for n, m in enumerate(base) for r in range(k) if m >> r & 1)
+        for mine, code in ((hers, OWN_ELOISE), (~hers, OWN_ABELARD)):
+            attracts = bytes(o in (code, OWN_RANDOM) for o in arena.owner)
+            step = _attractor(pred, bytearray(inside), ids, attracts, left.copy())
+            joined = _node_attractor(_node_game(aut, states, t), region, base, mine)
+            assert _mask_ids(joined, width) == {v for v in range(k * width) if step[v] >= 0}
+    assert vacuous > 100
+
+
+def test_node_region_is_the_oracles_region():
+    rng = random.Random(13)
+    won_some = lost_some = 0
+    for _ in range(300):
+        aut, final = random_alternating_buchi(rng, max_states=4, max_symbols=3)
+        t = random_regular_tree(rng, 4, aut.alphabet)
+        game = build_acceptance_game(aut, final, t)
+        won = oracle_almost_sure_buchi(game.arena, game.target)
+        states = csorted(aut.states)
+        masks = buchi_node_region(aut, states, final, t)
+        assert {state_vertex(q, n) for n, m in zip(t.nodes, masks)
+                for r, q in enumerate(states) if m >> r & 1} == {
+            v for v in won if v in game.arena.eloise | game.arena.abelard}
+        verdict = qualitative_membership(aut, buchi(final), t)
+        assert verdict == (game.arena.initial in won)
+        won_some += verdict
+        lost_some += not verdict
+    assert won_some > 50 and lost_some > 50
+
+
+def _raised(call) -> tuple:
+    with pytest.raises((FormatError, ValueError)) as e:
+        call()
+    return type(e.value), str(e.value)
+
+
+def test_buchi_route_raises_the_builders_errors():
+    """Missing rows, undeclared states and foreign nodes fail the Büchi
+    route with the builder's exception and message, which the co-Büchi
+    route, still on the builder, raises too."""
+    rng = random.Random(43)
+    holes = 0
+    for _ in range(300):
+        aut, final = random_alternating_buchi(rng, max_states=5, max_symbols=3)
+        t = random_regular_tree(rng, 6, aut.alphabet)
+        states = csorted(aut.states)
+        gone = {(q, s) for q in states for s in aut.alphabet if rng.random() < 0.15}
+        bad = dataclasses.replace(aut, complete=False, transitions=frozenset(
+            r for r in aut.transitions if r[:2] not in gone))
+        try:
+            _arena(bad, states, t)
+        except FormatError as e:
+            holes += 1
+            expected = (FormatError, str(e))
+            assert _raised(lambda: qualitative_membership(bad, buchi(final), t)) == expected
+            assert _raised(lambda: qualitative_membership(bad, cobuchi(final), t)) == expected
+        else:
+            region, _ = _as_buchi_core(_arena(bad, states, t), state_ids(states, final, t))
+            assert _mask_ids(buchi_node_region(bad, states, final, t), len(t.nodes)) == {
+                v for v in region if v < len(states) * len(t.nodes)}
+
+        # Rows from an undeclared state are ignored; rows to one, or an
+        # undeclared initial state, are rejected.
+        q, s = rng.choice(states), rng.choice(list(aut.alphabet))
+        ignored = dataclasses.replace(aut, transitions=aut.transitions | {("zz", s, q, q)})
+        assert qualitative_membership(ignored, buchi(final), t) == qualitative_membership(
+            aut, buchi(final), t)
+        for undeclared in (
+            dataclasses.replace(aut, initial="zz"),
+            dataclasses.replace(aut, transitions=aut.transitions | {(q, s, "zz", "zy")}),
+        ):
+            expected = _raised(lambda: _arena(undeclared, states, t))
+            assert expected[0] is ValueError and expected[1].startswith("undeclared states: z")
+            assert _raised(lambda: qualitative_membership(undeclared, buchi(final), t)) == expected
+        n = rng.choice(t.nodes)
+        for foreign in (dataclasses.replace(t, root="zz"),
+                        dataclasses.replace(t, succ1={**t.succ1, n: "zz"})):
+            expected = _raised(lambda: _arena(aut, states, foreign))
+            assert _raised(lambda: qualitative_membership(aut, buchi(final), foreign)) == expected
+    assert holes > 100

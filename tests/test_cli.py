@@ -137,6 +137,15 @@ def test_word_membership_rejects_symbols_outside_alphabet(files, tmp_path):
     assert code == 2 and "verdict" not in out
 
 
+def test_membership_rejects_symbols_outside_alphabet(files, tmp_path, capsys):
+    alien = tmp_path / "alien.tree"
+    alien.write_text(serialize_tree(constant_tree("c")))
+    code, out = run_cli("membership", str(files["conflict"]), str(alien))
+    assert code == 2 and "verdict" not in out
+    err = capsys.readouterr().err
+    assert f"{alien}: symbols not in the automaton's alphabet: c" in err
+
+
 def test_ptree_membership_rejects_symbols_outside_alphabet(files, tmp_path):
     from qualtree.reductions import lift_diagonal
     from qualtree.trees import tree_from_word
