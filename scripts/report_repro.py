@@ -9,12 +9,13 @@ seeded arenas with targets, then COUNT more seeded alternating Buchi
 automata, then COUNT seeded simple prob-word automata, each with a lasso
 word and a regular tree.  It writes them as files to a temporary directory
 and runs `qualtree membership` (Buchi and co-Buchi acceptance), `qualtree
-solve-game --objective buchi|cobuchi`, `qualtree check-emptiness AUT
---witness W`, `qualtree word-membership` on each prob-word automaton and
-its word, and `qualtree ptree-membership` on its diagonal and crossed
-lifts and the tree (Buchi and co-Buchi acceptance each), in-process, as
-text and as --json, printing each exit code and report, and after a
-check-emptiness report the files W and W.strategy it wrote.  Reports are meant to be byte-identical above
+solve-game --objective reach|buchi|cobuchi` (reach and buchi also with
+--oracle), `qualtree check-emptiness AUT --witness W`, `qualtree
+word-membership` on each prob-word automaton and its word, and `qualtree
+ptree-membership` on its diagonal and crossed lifts and the tree (Buchi
+and co-Buchi acceptance each), in-process, as text and as --json,
+printing each exit code and report, and after a check-emptiness report
+the files W and W.strategy it wrote.  Reports are meant to be byte-identical above
 `wall-time-ms`, so two outputs of this script, say under PYTHONHASHSEED=0
 and 123, or of two versions of the program, should compare equal.
 """
@@ -63,8 +64,10 @@ def write_inputs(seed: int, count: int) -> list[list[str]]:
         g = random_arena(rng, 8)
         with open(f"g{k}.arena", "w") as fh:
             fh.write(serialize_arena(g, random_target(rng, g)))
-        for objective in ("buchi", "cobuchi"):
+        for objective in ("reach", "buchi", "cobuchi"):
             commands.append(["solve-game", f"g{k}.arena", "--objective", objective])
+            if objective != "cobuchi":
+                commands.append(["solve-game", f"g{k}.arena", "--objective", objective, "--oracle"])
     for k in range(count):
         aut, final = random_alternating_buchi(rng, max_states=4)
         with open(f"e{k}.aut", "w") as fh:

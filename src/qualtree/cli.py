@@ -51,6 +51,7 @@ from qualtree.games import (
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
+    number,
 )
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
 from qualtree.markov import lasso_membership_word, prob_tree_membership
@@ -236,21 +237,19 @@ def cmd_ptree_membership(args) -> int:
 
 def cmd_solve_game(args) -> int:
     report = Report(f"solve-game {args.arena} --objective {args.objective}")
-    arena, target = parse_arena(_read(args.arena))
-    report.add_input(args.arena, serialize_arena(arena, target))
+    named, target = parse_arena(_read(args.arena))
+    report.add_input(args.arena, serialize_arena(named, target))
+    arena, goal, names = number(named, target)
     agree = None
-    if args.objective == "reach":
-        region, _ = almost_sure_reach(arena, target)
-        verdict = arena.initial in region
-        if args.oracle:
-            agree = region == oracle_almost_sure_reach(arena, target)
-    elif args.objective == "buchi":
-        region, _ = almost_sure_buchi(arena, target)
-        verdict = arena.initial in region
-        if args.oracle:
-            agree = region == oracle_almost_sure_buchi(arena, target)
+    if args.objective == "cobuchi":
+        verdict = almost_sure_cobuchi(arena, goal)
     else:
-        verdict = almost_sure_cobuchi(arena, target)
+        solve, oracle = ((almost_sure_reach, oracle_almost_sure_reach) if args.objective == "reach"
+                         else (almost_sure_buchi, oracle_almost_sure_buchi))
+        region, _ = solve(arena, goal)
+        verdict = arena.initial in region
+        if args.oracle:
+            agree = {names[v] for v in region} == oracle(named, target)
     report.add("verdict", "true" if verdict else "false")
     report.add("oracle-agreement", "n/a" if agree is None else ("yes" if agree else "no"))
     report.emit(args.json)

@@ -60,6 +60,8 @@ from qualtree.ordering import csorted
 from qualtree.trees import RegularTree, UltimatelyPeriodicWord, lasso
 
 KINDS = ("tree", "alternating-tree", "prob-word", "prob-tree", "nonzero")
+# Automaton lines that give one value; a second one is malformed, not an update.
+ONE_VALUE_LINES = ("alphabet", "states", "initial", "accept", "order", "nzsets")
 
 
 def _token(t: str) -> str:
@@ -135,8 +137,13 @@ def parse_automaton(text: str) -> LoadedAutomaton:
                 items.append(((toks[i + 1], toks[i + 2]), p))
         return Distribution(items)
 
+    seen: set = set()
     for line in lines[1:]:
         head, rest = line[0], line[1:]
+        if head in ONE_VALUE_LINES:
+            if head in seen:
+                raise FormatError(f"duplicate {head} line")
+            seen.add(head)
         if head == "alphabet":
             if not rest or len(set(rest)) != len(rest):
                 raise FormatError(f"alphabet line needs distinct symbols: {' '.join(line)}")
@@ -291,6 +298,8 @@ def parse_tree(text: str) -> RegularTree:
     succ1: dict = {}
     for line in lines[1:]:
         if line[0] == "root" and len(line) == 2:
+            if root is not None:
+                raise FormatError("duplicate root line")
             root = line[1]
         elif line[0] == "node" and len(line) == 5:
             n, lab, c0, c1 = line[1:]
@@ -350,6 +359,8 @@ def parse_arena(text: str) -> tuple[StochasticArena, frozenset]:
     for line in lines[1:]:
         head, rest = line[0], line[1:]
         if head == "init" and len(rest) == 1:
+            if init is not None:
+                raise FormatError("duplicate init line")
             init = rest[0]
         elif head == "vertex" and len(rest) == 2 and rest[1] in ("eloise", "abelard", "random"):
             if rest[0] in owner:

@@ -7,9 +7,10 @@ with positive probability inside the region.  Within a closed finite
 region, uniformly positive single-shot progress bootstraps to probability
 one, which is why this characterises the almost-sure set.
 
-The solvers run on an integer `Arena`: successor ids and an owner code per
-vertex, no weights.  A named `StochasticArena`, the type at the file
-boundary, is numbered once in `g.edges` order into the same core.  The
+The solvers, the strategy checks and the oracles all take an integer
+`Arena`: successor ids and an owner code per vertex, no weights.  A named
+`StochasticArena` is the type of the file boundary only; its caller numbers
+it once, in `g.edges` order, with `number`, and names the answer back.  The
 region comes from two attractors on ids, one worklist attractor for both: the
 protagonist's attractor to the target (her vertices and the coin's
 attract), and, while it misses some vertex of the region, the opponent's
@@ -20,6 +21,11 @@ bytearrays, the counters are lists of ints, and an attractor records the
 step at which each vertex joins, from which the protagonist's choice is
 read.  Almost-sure reachability is the same fixed point on the arena with
 the target made absorbing.
+
+A positional strategy of the protagonist leaves an MDP to the opponent,
+`fix_strategy`, as an `MdpView` on the same ids: the strategy checks refute
+a strategy on it with end components, and the co-Büchi enumeration builds
+the same rows once and rewrites only hers from one strategy to the next.
 
 The normative definition of correctness is the positional-strategy
 enumeration oracle in :mod:`qualtree.game_oracles`; the fixed point here
@@ -33,10 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from qualtree.dist import Distribution
 from qualtree.errors import ResourceLimit
 from qualtree.graphs import reachable, sccs
-from qualtree.ordering import csorted
 
 ELOISE = "eloise"
 ABELARD = "abelard"
@@ -139,57 +143,12 @@ class PositionalStrategy:
     choice: dict  # owner's vertex -> chosen successor
 
 
-@dataclass(frozen=True)
-class Mdp:
-    """Arena with a single controlling player, stored in the eloise slot."""
-
-    arena: StochasticArena
-
-    def __post_init__(self):
-        if self.arena.abelard:
-            raise ValueError("an Mdp has no second player")
-
-    @property
-    def controller(self) -> frozenset:
-        return self.arena.eloise
-
-
-def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
-    """Commit one player to a positional strategy; the other becomes controller.
-
-    The owner's vertices turn into random vertices carrying a point
-    distribution on the chosen successor.
-    """
-    owned = g.eloise if s.owner == ELOISE else g.abelard
-    other = g.abelard if s.owner == ELOISE else g.eloise
-    missing = [v for v in owned if v not in s.choice]
-    if missing:
-        raise ValueError(f"strategy does not cover vertex {csorted(missing)[0]!r}")
-    edges = dict(g.edges)
-    dist = dict(g.dist)
-    for v in owned:
-        c = s.choice[v]
-        if c not in g.edges[v]:
-            raise ValueError(f"choice {c!r} at {v!r} is not an edge")
-        edges[v] = (c,)
-        dist[v] = Distribution.point(c)
-    return Mdp(
-        StochasticArena._trusted(
-            eloise=other,
-            abelard=frozenset(),
-            random=g.random | owned,
-            edges=edges,
-            dist=dist,
-            initial=g.initial,
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # Generic MDP view: controller states numbered once, with a finite set of moves,
 # each move the support of a distribution.  End components and the qualitative
-# verdicts built on them depend only on supports.  Products built elsewhere
-# (strategy checks, the emptiness search) reuse this layer.
+# verdicts built on them depend only on supports.  The MDP a positional
+# strategy leaves on an `Arena` (strategy checks, the co-Büchi enumeration)
+# and the emptiness search's products use this layer.
 # ---------------------------------------------------------------------------
 
 
@@ -203,24 +162,25 @@ class MdpView:
         return set().union(*self.moves[s])
 
 
-def view_of_mdp(m: Mdp) -> MdpView:
-    """The MDP numbered in `g.edges` order.  A random vertex has one move,
-    its edges, which are its support."""
-    g = m.arena
-    verts = tuple(g.edges)
-    vid = {v: i for i, v in enumerate(verts)}
-    moves = []
-    for v in verts:
-        succ = [vid[w] for w in g.edges[v]]
-        if v in g.random:
-            moves.append((frozenset(succ),))
-        else:
-            moves.append(tuple(frozenset((w,)) for w in succ))
-    return MdpView(verts, vid[g.initial], moves)
+def _opponent_moves(a: Arena) -> list:
+    """Rows of the MDP that her positional choice leaves, made once: the
+    opponent has one move per successor, the coin one move, its support.
+    Her rows are placeholders, to be replaced by one move to her choice."""
+    return [tuple(frozenset((w,)) for w in ws) if o == OWN_ABELARD else (frozenset(ws),)
+            for ws, o in zip(a.succ, a.owner)]
 
 
-def _ids(view: MdpView, states) -> frozenset:
-    return frozenset(i for i, s in enumerate(view.states) if s in states)
+def fix_strategy(a: Arena, choice: dict) -> MdpView:
+    """The MDP her positional choice (id -> successor id) leaves to the
+    opponent, who controls it: her vertex v has one move, to choice[v]."""
+    moves = _opponent_moves(a)
+    for v in a.eloise:
+        if v not in choice:
+            raise ValueError(f"strategy does not cover vertex {v}")
+        if choice[v] not in a.succ[v]:
+            raise ValueError(f"choice {choice[v]} at {v} is not an edge")
+        moves[v] = (frozenset((choice[v],)),)
+    return MdpView(range(len(moves)), a.initial, moves)
 
 
 def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[frozenset]:
@@ -288,25 +248,6 @@ def _positive_avoid_view(view: MdpView, target: frozenset) -> bool:
 
     reach = reachable([view.initial], succ_safe)
     return any(c & reach for c in mec_decomposition(view, within=safe))
-
-
-def controller_positive_cobuchi(m: Mdp, target: frozenset) -> bool:
-    """True iff the controller can, with positive probability, eventually
-    avoid the target forever.
-
-    This needs an end component inside the complement of the target; a MEC
-    of the full MDP that merely meets the target is not enough evidence
-    either way, hence the restricted decomposition.
-    """
-    view = view_of_mdp(m)
-    return _positive_cobuchi_view(view, _ids(view, target))
-
-
-def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
-    """True iff the controller can avoid the target forever with positive
-    probability (safety, not just co-Buchi)."""
-    view = view_of_mdp(m)
-    return _positive_avoid_view(view, _ids(view, target))
 
 
 # ---------------------------------------------------------------------------
@@ -440,91 +381,69 @@ def _as_buchi_core(a: Arena, goal: frozenset):
     return frozenset(itertools.compress(range(n), region)), choice
 
 
-def almost_sure_buchi(g, target) -> tuple[frozenset, PositionalStrategy]:
+def almost_sure_buchi(a: Arena, target) -> tuple[frozenset, PositionalStrategy]:
     """Almost-sure repeated-reach winning set and a witnessing positional
-    strategy (defined on the winning set's protagonist vertices).
-
-    On an integer `Arena` the target, the set and the strategy are ids; a
-    named `StochasticArena` is numbered once, and they are names."""
-    if isinstance(g, Arena):
-        region, choice = _as_buchi_core(g, frozenset(target))
-        return region, PositionalStrategy(ELOISE, choice)
-    a, goal, names = number(g, target)
-    region, choice = _as_buchi_core(a, goal)
-    return (frozenset(names[v] for v in region),
-            PositionalStrategy(ELOISE, {names[v]: names[w] for v, w in choice.items()}))
+    strategy (defined on the winning set's protagonist vertices), on ids."""
+    region, choice = _as_buchi_core(a, frozenset(target))
+    return region, PositionalStrategy(ELOISE, choice)
 
 
-def _absorb(g: StochasticArena, target: frozenset) -> StochasticArena:
-    """Replace every target vertex by a random point self-loop."""
-    edges = dict(g.edges)
-    dist = dict(g.dist)
-    for v in target & g.vertices:
-        edges[v] = (v,)
-        dist[v] = Distribution.point(v)
-    return StochasticArena._trusted(
-        eloise=g.eloise - target,
-        abelard=g.abelard - target,
-        random=g.random | (target & g.vertices),
-        edges=edges,
-        dist=dist,
-        initial=g.initial,
-    )
+def _absorb(a: Arena, goal: frozenset) -> Arena:
+    """Every target vertex becomes a coin with a self-loop."""
+    succ, owner = list(a.succ), bytearray(a.owner)
+    for v in goal:
+        succ[v], owner[v] = (v,), OWN_RANDOM
+    return Arena(succ, bytes(owner), a.initial)
 
 
-def almost_sure_reach(g: StochasticArena, target) -> tuple[frozenset, PositionalStrategy]:
+def almost_sure_reach(a: Arena, target) -> tuple[frozenset, PositionalStrategy]:
     """Almost-sure reachability; reach-equivalent to repeated reach once the
     target is made absorbing."""
-    target = frozenset(target)
-    region, strategy = almost_sure_buchi(_absorb(g, target), target)
-    full_choice = dict(strategy.choice)
-    for v in region & g.eloise & target:
-        full_choice[v] = g.edges[v][0]  # already won; any move is fine
-    return region, PositionalStrategy(ELOISE, full_choice)
+    goal = frozenset(target)
+    region, strategy = almost_sure_buchi(_absorb(a, goal), goal)
+    choice = dict(strategy.choice)
+    for v in sorted(goal):
+        if a.owner[v] == OWN_ELOISE:
+            choice[v] = a.succ[v][0]  # already won; any move is fine
+    return region, PositionalStrategy(ELOISE, choice)
 
 
-def check_buchi_strategy(g: StochasticArena, target, s: PositionalStrategy) -> bool:
-    """Exact check that s visits the target infinitely often almost surely
-    against every opponent behaviour."""
-    m = fix_strategy(g, s)
-    return not controller_positive_cobuchi(m, frozenset(target))
+def check_buchi_strategy(a: Arena, target, s: PositionalStrategy) -> bool:
+    """Exact check that her strategy s visits the target infinitely often
+    almost surely against every opponent behaviour: in the MDP it leaves,
+    the opponent cannot avoid the target from some point on with positive
+    probability."""
+    return not _positive_cobuchi_view(fix_strategy(a, s.choice), frozenset(target))
 
 
-def check_reach_strategy(g: StochasticArena, target, s: PositionalStrategy) -> bool:
-    m = fix_strategy(g, s)
-    return not controller_positive_avoid(m, frozenset(target))
+def check_reach_strategy(a: Arena, target, s: PositionalStrategy) -> bool:
+    """The same for reaching the target: the opponent cannot avoid it
+    forever with positive probability."""
+    return not _positive_avoid_view(fix_strategy(a, s.choice), frozenset(target))
 
 
-def eloise_positional_strategies(g: StochasticArena):
-    """All positional strategies for the protagonist, in canonical order."""
-    vs = csorted(g.eloise)
-    if not vs:
-        yield PositionalStrategy(ELOISE, {})
-        return
-    for combo in itertools.product(*(g.edges[v] for v in vs)):
-        yield PositionalStrategy(ELOISE, dict(zip(vs, combo)))
+def eloise_positional_strategies(a: Arena):
+    """All positional strategies for the protagonist, her vertices in id order."""
+    mine = a.eloise
+    for combo in itertools.product(*(a.succ[v] for v in mine)):
+        yield PositionalStrategy(ELOISE, dict(zip(mine, combo)))
 
 
-def almost_sure_cobuchi(g, target, choice_bound: int = 2**20) -> bool:
+def almost_sure_cobuchi(a: Arena, target, choice_bound: int = 2**20) -> bool:
     """Almost-sure finitely-many-visits verdict from the initial vertex.
 
     Solved by enumeration over the protagonist's positional strategies
     (positional strategies suffice on finite arenas), her vertices taken in
     id order; each candidate is refuted exactly by the opponent-as-controller
-    analysis.  The MDP a strategy leaves is built from rows made once: the
-    opponent has one move per successor and the coin one move, its support.
-    Only the protagonist's rows, one move to her choice, change from one
-    strategy to the next.  A named `StochasticArena` is numbered once first.
+    analysis.  The MDP a strategy leaves is built from the rows of
+    `_opponent_moves`, made once; only her rows, one move to her choice,
+    change from one strategy to the next.
     """
-    if isinstance(g, Arena):
-        a, goal = g, frozenset(target)
-    else:
-        a, goal, _ = number(g, target)
+    goal = frozenset(target)
     mine = a.eloise
     if math.prod(len(a.succ[v]) for v in mine) > choice_bound:
         raise ResourceLimit("protagonist choice space", choice_bound)
-    moves = [tuple(frozenset((w,)) for w in ws) if o == OWN_ABELARD else (frozenset(ws),)
-             for ws, o in zip(a.succ, a.owner)]
+    moves = _opponent_moves(a)
     options = [[(frozenset((w,)),) for w in a.succ[v]] for v in mine]
     states = range(len(moves))
     for combo in itertools.product(*options):
@@ -533,11 +452,3 @@ def almost_sure_cobuchi(g, target, choice_bound: int = 2**20) -> bool:
         if not _positive_buchi_view(MdpView(states, a.initial, moves), goal):
             return True
     return False
-
-
-def with_initial(g: StochasticArena, v) -> StochasticArena:
-    if v == g.initial:
-        return g
-    if v not in g.edges:
-        raise ValueError(f"initial vertex {v!r} unknown")
-    return StochasticArena._trusted(g.eloise, g.abelard, g.random, g.edges, g.dist, v)

@@ -147,19 +147,6 @@ def random_arena(rng: random.Random, max_vertices: int = 7) -> StochasticArena:
     )
 
 
-def random_mdp_arena(rng: random.Random, max_vertices: int = 6) -> StochasticArena:
-    g = random_arena(rng, max_vertices)
-    # controller absorbs the second player's vertices
-    return StochasticArena(
-        eloise=g.eloise | g.abelard,
-        abelard=frozenset(),
-        random=g.random,
-        edges=g.edges,
-        dist=g.dist,
-        initial=g.initial,
-    )
-
-
 def random_target(rng: random.Random, g: StochasticArena) -> frozenset:
     vs = csorted(g.vertices)
     return frozenset(rng.sample(vs, rng.randint(0, len(vs))))

@@ -8,15 +8,38 @@ almost-sure Büchi core on sets and dicts, ``_as_buchi_core`` with its
 ``_attractor``, is kept as the oracle of the flat-buffer core in
 ``qualtree.games`` that replaced it: both must give the same region and the
 same choices, in the same key order.
+
+The named MDP layer that the solvers on ids replaced is kept as the
+weighted reference of the strategy checks: ``Mdp``, the weighted
+``fix_strategy`` (either player's strategy, as point distributions),
+``eloise_positional_strategies`` on names, ``view_of_mdp``, ``_ids``,
+``controller_positive_cobuchi`` and ``controller_positive_avoid``, the
+named ``_absorb`` and ``with_initial``, and ``random_mdp_arena``, the
+random controller arenas of their tests.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from qualtree.dist import Distribution
-from qualtree.games import OWN_ABELARD, OWN_ELOISE, Arena, StochasticArena
+from qualtree.games import (
+    ELOISE,
+    OWN_ABELARD,
+    OWN_ELOISE,
+    Arena,
+    MdpView,
+    PositionalStrategy,
+    StochasticArena,
+    _positive_avoid_view,
+    _positive_cobuchi_view,
+)
+from qualtree.ordering import csorted
+from qualtree.suite import random_arena
 
 
 def named_full_information_arena(g, target: frozenset):
@@ -180,3 +203,139 @@ def _as_buchi_core(a: Arena, goal: frozenset):
         if owner[v] == OWN_ELOISE:
             choice[v] = witness[v] if v in witness else next(w for w in succ[v] if w in region)
     return frozenset(region), choice
+
+
+# The named MDP layer, as the strategy checks used it before they ran on ids.
+
+
+@dataclass(frozen=True)
+class Mdp:
+    """Arena with a single controlling player, stored in the eloise slot."""
+
+    arena: StochasticArena
+
+    def __post_init__(self):
+        if self.arena.abelard:
+            raise ValueError("an Mdp has no second player")
+
+    @property
+    def controller(self) -> frozenset:
+        return self.arena.eloise
+
+
+def fix_strategy(g: StochasticArena, s: PositionalStrategy) -> Mdp:
+    """Commit one player to a positional strategy; the other becomes controller.
+
+    The owner's vertices turn into random vertices carrying a point
+    distribution on the chosen successor.
+    """
+    owned = g.eloise if s.owner == ELOISE else g.abelard
+    other = g.abelard if s.owner == ELOISE else g.eloise
+    missing = [v for v in owned if v not in s.choice]
+    if missing:
+        raise ValueError(f"strategy does not cover vertex {csorted(missing)[0]!r}")
+    edges = dict(g.edges)
+    dist = dict(g.dist)
+    for v in owned:
+        c = s.choice[v]
+        if c not in g.edges[v]:
+            raise ValueError(f"choice {c!r} at {v!r} is not an edge")
+        edges[v] = (c,)
+        dist[v] = Distribution.point(c)
+    return Mdp(
+        StochasticArena._trusted(
+            eloise=other,
+            abelard=frozenset(),
+            random=g.random | owned,
+            edges=edges,
+            dist=dist,
+            initial=g.initial,
+        )
+    )
+
+
+def eloise_positional_strategies(g: StochasticArena):
+    """All positional strategies for the protagonist, in canonical order."""
+    vs = csorted(g.eloise)
+    if not vs:
+        yield PositionalStrategy(ELOISE, {})
+        return
+    for combo in itertools.product(*(g.edges[v] for v in vs)):
+        yield PositionalStrategy(ELOISE, dict(zip(vs, combo)))
+
+
+def view_of_mdp(m: Mdp) -> MdpView:
+    """The MDP numbered in `g.edges` order.  A random vertex has one move,
+    its edges, which are its support."""
+    g = m.arena
+    verts = tuple(g.edges)
+    vid = {v: i for i, v in enumerate(verts)}
+    moves = []
+    for v in verts:
+        succ = [vid[w] for w in g.edges[v]]
+        if v in g.random:
+            moves.append((frozenset(succ),))
+        else:
+            moves.append(tuple(frozenset((w,)) for w in succ))
+    return MdpView(verts, vid[g.initial], moves)
+
+
+def _ids(view: MdpView, states) -> frozenset:
+    return frozenset(i for i, s in enumerate(view.states) if s in states)
+
+
+def controller_positive_cobuchi(m: Mdp, target: frozenset) -> bool:
+    """True iff the controller can, with positive probability, eventually
+    avoid the target forever.
+
+    This needs an end component inside the complement of the target; a MEC
+    of the full MDP that merely meets the target is not enough evidence
+    either way, hence the restricted decomposition.
+    """
+    view = view_of_mdp(m)
+    return _positive_cobuchi_view(view, _ids(view, target))
+
+
+def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
+    """True iff the controller can avoid the target forever with positive
+    probability (safety, not just co-Buchi)."""
+    view = view_of_mdp(m)
+    return _positive_avoid_view(view, _ids(view, target))
+
+
+def _absorb(g: StochasticArena, target: frozenset) -> StochasticArena:
+    """Replace every target vertex by a random point self-loop."""
+    edges = dict(g.edges)
+    dist = dict(g.dist)
+    for v in target & g.vertices:
+        edges[v] = (v,)
+        dist[v] = Distribution.point(v)
+    return StochasticArena._trusted(
+        eloise=g.eloise - target,
+        abelard=g.abelard - target,
+        random=g.random | (target & g.vertices),
+        edges=edges,
+        dist=dist,
+        initial=g.initial,
+    )
+
+
+def with_initial(g: StochasticArena, v) -> StochasticArena:
+    if v == g.initial:
+        return g
+    if v not in g.edges:
+        raise ValueError(f"initial vertex {v!r} unknown")
+    return StochasticArena._trusted(g.eloise, g.abelard, g.random, g.edges, g.dist, v)
+
+
+def random_mdp_arena(rng: random.Random, max_vertices: int = 6) -> StochasticArena:
+    g = random_arena(rng, max_vertices)
+    # controller absorbs the second player's vertices
+    return StochasticArena(
+        eloise=g.eloise | g.abelard,
+        abelard=frozenset(),
+        random=g.random,
+        edges=g.edges,
+        dist=g.dist,
+        initial=g.initial,
+    )

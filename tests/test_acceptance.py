@@ -21,7 +21,7 @@ from qualtree.automata import (
 from qualtree.dist import Distribution
 from qualtree.emptiness import build_emptiness_game, fully_observable, solve_imperfect_buchi
 from qualtree.gallery import contradictory_uniformity_automaton
-from qualtree.games import almost_sure_buchi, almost_sure_reach
+from qualtree.games import almost_sure_buchi, almost_sure_reach, number
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
 from qualtree.markov import acceptance_probability, lasso_membership_word
 from qualtree.reductions import (
@@ -125,8 +125,9 @@ def test_criterion_4_game_solver_crosschecks():
     for i in range(200):
         g = random_arena(rng, 7)
         target = random_target(rng, g)
-        region_b, _ = almost_sure_buchi(g, target)
-        region_r, _ = almost_sure_reach(g, target)
+        a, goal, names = number(g, target)
+        region_b = {names[v] for v in almost_sure_buchi(a, goal)[0]}
+        region_r = {names[v] for v in almost_sure_reach(a, goal)[0]}
         if region_b != oracle_almost_sure_buchi(g, target):
             ok, detail = False, f"buchi mismatch at {i}"
             break
@@ -134,7 +135,8 @@ def test_criterion_4_game_solver_crosschecks():
             ok, detail = False, f"reach mismatch at {i}"
             break
         gadget, goal = buchi_to_reachability(g, target)
-        gadget_region, _ = almost_sure_reach(gadget, goal)
+        a, goal, names = number(gadget, goal)
+        gadget_region = {names[v] for v in almost_sure_reach(a, goal)[0]}
         if region_b != gadget_region & g.vertices:
             ok, detail = False, f"gadget mismatch at {i}"
             break

@@ -17,12 +17,11 @@ from qualtree.automata import (
     validate,
 )
 from qualtree.dist import Distribution
-from qualtree.games import ABELARD, PositionalStrategy, fix_strategy
+from qualtree.games import number
 from qualtree.markov import as_verdict
-from qualtree.ordering import csorted
 from qualtree.reductions import sharp_gadget, sharps_automaton
 from qualtree.suite import random_regular_tree, random_simple_pwa, random_alternating_buchi
-from weighted_chains import as_markov_chain, support_chain
+from weighted_chains import explore
 
 AB = Alphabet(("a", "b"))
 
@@ -133,20 +132,18 @@ def test_universal_to_alternating_preserves_empty_transitions():
     assert universal_to_alternating(aut).transitions == frozenset()
 
 
-def abelard_positional_strategies(g):
-    """All positional strategies for the opponent, in canonical order."""
-    vs = csorted(g.abelard)
-    for combo in itertools.product(*(g.edges[v] for v in vs)):
-        yield PositionalStrategy(ABELARD, dict(zip(vs, combo)))
-
-
 def _universal_membership_by_run_enumeration(alt, final, tree) -> bool:
     """All-runs semantics spelled out: every opponent positional strategy in
-    the pebble game must induce an almost-surely co-Buchi chain."""
+    the pebble game, numbered once, must induce an almost-surely co-Buchi
+    chain."""
     game = build_acceptance_game(alt, final, tree)
-    for s in abelard_positional_strategies(game.arena):
-        chain = as_markov_chain(fix_strategy(game.arena, s), game.target)
-        if not as_verdict(support_chain(chain), "cobuchi"):
+    a, goal, _ = number(game.arena, game.target)
+    his = a.abelard
+    for combo in itertools.product(*(a.succ[v] for v in his)):
+        choice = dict(zip(his, combo))
+        chain = explore(a.initial, lambda v: (choice[v],) if v in choice else a.succ[v],
+                        goal.__contains__)
+        if not as_verdict(chain, "cobuchi"):
             return False
     return True
 

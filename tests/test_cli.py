@@ -252,7 +252,8 @@ def test_repeated_probabilistic_row_is_malformed(files, tmp_path, command, text)
     assert code == 2 and "verdict" not in out
 
 
-@pytest.mark.parametrize("line", ["initial", "initial q r"], ids=["no-state", "two-states"])
+@pytest.mark.parametrize("line", ["initial", "initial q r", "initial q\ninitial r"],
+                         ids=["no-state", "two-states", "repeated"])
 def test_malformed_initial_line(files, tmp_path, line):
     p = tmp_path / "initial.aut"
     p.write_text(f"kind prob-word\nalphabet a s\nstates q r\n{line}\naccept buchi q\n"

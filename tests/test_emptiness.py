@@ -44,7 +44,7 @@ from qualtree.emptiness import (
     _wins_full_information,
 )
 from qualtree.errors import DisagreementError, FormatError, ResourceLimit
-from qualtree.games import MdpView, _attractor, almost_sure_buchi, mec_decomposition
+from qualtree.games import MdpView, _attractor, almost_sure_buchi, mec_decomposition, number
 import qualtree.games as games_module
 from qualtree.ordering import ckey, csorted
 from qualtree.gallery import (
@@ -751,7 +751,8 @@ def test_integer_full_information_arena_matches_the_named_one():
         n = number_game(game, target)
         region, _ = almost_sure_buchi(_full_information_arena(n), frozenset(_bits(n.target)))
         arena, tgt = named_full_information_arena(game, target)
-        named_region, _ = almost_sure_buchi(arena, tgt)
+        a, goal, names = number(arena, tgt)
+        named_region = {names[v] for v in almost_sure_buchi(a, goal)[0]}
         assert ({game.vertices[v] for v in region if v < len(game.vertices)}
                 == {x[1] for x in named_region if x[0] == "p"})
         assert _wins_full_information(n) == (arena.initial in named_region)

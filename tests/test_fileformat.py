@@ -126,6 +126,29 @@ def test_malformed_inputs_raise_format_errors():
     assert any("sums to 2/3" in line for line in validate(loaded.automaton))
 
 
+NONZERO_TEXT = ("kind nonzero\nalphabet a\nstates q\ninitial q\naccept buchi q\norder q\n"
+                "nzsets forall q | one q | pos\ntrans q a q q\n")
+LINES_GIVING_ONE_VALUE = [
+    (parse_automaton, NONZERO_TEXT, "alphabet a"),
+    (parse_automaton, NONZERO_TEXT, "states q"),
+    (parse_automaton, NONZERO_TEXT, "initial q"),
+    (parse_automaton, NONZERO_TEXT, "accept cobuchi q"),
+    (parse_automaton, NONZERO_TEXT, "order q"),
+    (parse_automaton, NONZERO_TEXT, "nzsets forall q | one | pos q"),
+    (parse_arena, "arena\ninit v\nvertex v eloise\nvertex w eloise\nedge v v\nedge w w\n", "init w"),
+    (parse_tree, "tree\nroot n0\nnode n0 a n0 n0\nnode n1 a n1 n1\n", "root n1"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line", LINES_GIVING_ONE_VALUE,
+                         ids=[line.split()[0] for _, _, line in LINES_GIVING_ONE_VALUE])
+def test_repeated_one_value_line_is_malformed(parse, text, line):
+    """A second line of a kind that gives one value does not replace the first."""
+    parse(text)
+    with pytest.raises(FormatError, match=f"duplicate {line.split()[0]} line"):
+        parse(text + line + "\n")
+
+
 def test_serializer_refuses_comment_like_tokens():
     det, bad = sharps_automaton(AB, "#")
     with pytest.raises(FormatError, match="token"):

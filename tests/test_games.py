@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,27 +18,24 @@ from qualtree.emptiness import ImperfectInfoArena, build_emptiness_game
 from qualtree.errors import ResourceLimit
 from qualtree.games import (
     ELOISE,
+    OWN_ABELARD,
+    OWN_ELOISE,
+    OWN_RANDOM,
     Arena,
-    Mdp,
     MdpView,
     PositionalStrategy,
     StochasticArena,
-    _absorb,
     _as_buchi_core,
-    _ids,
     _positive_buchi_view,
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
     check_buchi_strategy,
     check_reach_strategy,
-    controller_positive_avoid,
-    controller_positive_cobuchi,
     eloise_positional_strategies,
     fix_strategy,
     mec_decomposition,
-    view_of_mdp,
-    with_initial,
+    number,
 )
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
 from qualtree.graphs import reachable, sccs
@@ -47,12 +45,21 @@ from qualtree.suite import (
     random_alternating_buchi,
     random_arena,
     random_imperfect_arena,
-    random_mdp_arena,
     random_regular_tree,
     random_target,
 )
 import arena_oracles
-from arena_oracles import buchi_to_reachability, named_full_information_arena
+from arena_oracles import (
+    Mdp,
+    _ids,
+    buchi_to_reachability,
+    controller_positive_avoid,
+    controller_positive_cobuchi,
+    named_full_information_arena,
+    random_mdp_arena,
+    view_of_mdp,
+    with_initial,
+)
 from weighted_chains import as_markov_chain, named_bottoms, support_chain
 
 
@@ -72,17 +79,31 @@ def max_end_components(m: Mdp) -> list[tuple[frozenset, frozenset]]:
     return result
 
 
-def total_strategy(g: StochasticArena, s: PositionalStrategy) -> PositionalStrategy:
-    """Extend a partial strategy to every owned vertex (first edge elsewhere).
+def total_strategy(a: Arena, s: PositionalStrategy) -> PositionalStrategy:
+    """Extend a partial strategy of hers to all her vertices (first
+    successor elsewhere).
 
     Harmless for strategies produced by the solvers: from inside the
     winning region the play never visits the filled-in vertices.
     """
-    owned = g.eloise if s.owner == ELOISE else g.abelard
     choice = dict(s.choice)
-    for v in owned:
-        choice.setdefault(v, g.edges[v][0])
-    return PositionalStrategy(s.owner, choice)
+    for v in a.eloise:
+        choice.setdefault(v, a.succ[v][0])
+    return PositionalStrategy(ELOISE, choice)
+
+
+def on_names(solve, g: StochasticArena, target):
+    """A solver on ids run on a named arena: numbered once, then the region
+    and the strategy named back."""
+    a, goal, names = number(g, target)
+    region, s = solve(a, goal)
+    return (frozenset(names[v] for v in region),
+            PositionalStrategy(s.owner, {names[v]: names[w] for v, w in s.choice.items()}))
+
+
+def cobuchi_on_names(g: StochasticArena, target, choice_bound: int = 2**20) -> bool:
+    a, goal, _ = number(g, target)
+    return almost_sure_cobuchi(a, goal, choice_bound)
 
 
 def arena(owners, edges, dist=None, initial=None):
@@ -111,24 +132,26 @@ def test_arena_rejects_dead_ends_and_bad_support():
 
 
 def test_fix_strategy_identity_when_no_owned_vertices():
-    g = arena({"v": "abelard"}, {"v": ("v",)})
-    m = fix_strategy(g, PositionalStrategy(ELOISE, {}))
-    assert m.controller == {"v"}
-    assert m.arena.edges == g.edges and m.arena.random == g.random
+    a = Arena([(0, 1), (0,)], bytes([OWN_ABELARD, OWN_RANDOM]), 0)
+    view = fix_strategy(a, {})
+    assert list(view.states) == [0, 1] and view.initial == 0
+    assert view.moves == [(frozenset({0}), frozenset({1})), (frozenset({0}),)]
 
 
 def test_fix_strategy_point_distribution():
-    g = arena({"e": "eloise", "x": "abelard", "y": "abelard"},
-              {"e": ("x", "y"), "x": ("x",), "y": ("y",)})
-    m = fix_strategy(g, PositionalStrategy(ELOISE, {"e": "y"}))
-    assert m.arena.dist["e"] == Distribution.point("y")
-    assert m.arena.edges["e"] == ("y",)
+    # her vertex 0 chooses between his self-loops 1 and 2
+    a = Arena([(1, 2), (1,), (2,)], bytes([OWN_ELOISE, OWN_ABELARD, OWN_ABELARD]), 0)
+    view = fix_strategy(a, {0: 2})
+    assert view.moves[0] == (frozenset({2}),)
+    assert view.moves[1:] == [(frozenset({1}),), (frozenset({2}),)]
 
 
 def test_fix_strategy_names_uncovered_vertex():
-    g = arena({"e": "eloise"}, {"e": ("e",)})
-    with pytest.raises(ValueError, match="'e'"):
-        fix_strategy(g, PositionalStrategy(ELOISE, {}))
+    a = Arena([(0, 1), (1,)], bytes([OWN_ELOISE, OWN_ELOISE]), 0)
+    with pytest.raises(ValueError, match="vertex 1"):
+        fix_strategy(a, {0: 1})
+    with pytest.raises(ValueError, match="choice 0 at 1 is not an edge"):
+        fix_strategy(a, {0: 1, 1: 0})
 
 
 def test_fixing_both_players_gives_a_simulatable_chain():
@@ -136,10 +159,10 @@ def test_fixing_both_players_gives_a_simulatable_chain():
     for _ in range(10):
         g = random_arena(rng, 5)
         target = random_target(rng, g)
-        s_e = next(eloise_positional_strategies(g))
-        m1 = fix_strategy(g, s_e)
+        s_e = next(arena_oracles.eloise_positional_strategies(g))
+        m1 = arena_oracles.fix_strategy(g, s_e)
         s_a = PositionalStrategy("abelard", {v: m1.arena.edges[v][0] for v in m1.arena.eloise})
-        m2 = fix_strategy(
+        m2 = arena_oracles.fix_strategy(
             StochasticArena(frozenset(), m1.arena.eloise, m1.arena.random,
                             m1.arena.edges, m1.arena.dist, m1.arena.initial),
             s_a,
@@ -294,8 +317,8 @@ def test_controller_positive_buchi_trivial_cases():
 
 def _enumerate_controller_positive_buchi(m: Mdp, target) -> bool:
     g = m.arena
-    for s in eloise_positional_strategies(g):
-        chain = as_markov_chain(fix_strategy(g, s), target)
+    for s in arena_oracles.eloise_positional_strategies(g):
+        chain = as_markov_chain(arena_oracles.fix_strategy(g, s), target)
         if any(c & target for c in named_bottoms(support_chain(chain))):
             return True
     return False
@@ -320,9 +343,9 @@ def test_positive_buchi_on_reachable_part_matches_whole_mdp():
     rng = random.Random(71)
     verdicts, partial = set(), 0
     for _ in range(200):
-        g = random_arena(rng, 8)
-        m = fix_strategy(g, next(eloise_positional_strategies(g)))
-        for view in (view_of_mdp(m), view_of_mdp(Mdp(random_mdp_arena(rng, 8)))):
+        a, _, _ = number(random_arena(rng, 8), frozenset())
+        fixed = fix_strategy(a, next(eloise_positional_strategies(a)).choice)
+        for view in (fixed, view_of_mdp(Mdp(random_mdp_arena(rng, 8)))):
             partial += len(reachable([view.initial], view.succ)) < len(view.states)
             n = len(view.states)
             for target in (frozenset(rng.sample(range(n), rng.randint(0, n))), frozenset(range(n))):
@@ -347,9 +370,10 @@ def test_verdicts_do_not_depend_on_the_numbering():
         g = random_arena(rng, 7)
         target = random_target(rng, g)
         g2 = _renumbered(g, rng)
-        for solve in (almost_sure_buchi, almost_sure_reach,
-                      oracle_almost_sure_buchi, oracle_almost_sure_reach):
-            assert solve(g2, target) == solve(g, target)
+        for solve in (almost_sure_buchi, almost_sure_reach):
+            assert on_names(solve, g2, target) == on_names(solve, g, target)
+        for oracle in (oracle_almost_sure_buchi, oracle_almost_sure_reach):
+            assert oracle(g2, target) == oracle(g, target)
         m = Mdp(random_mdp_arena(rng, 6))
         target = random_target(rng, m.arena)
         m2 = Mdp(_renumbered(m.arena, rng))
@@ -361,7 +385,7 @@ def test_verdicts_do_not_depend_on_the_numbering():
 
 def test_almost_sure_reach_contains_target_initial():
     g = arena({"v": "eloise", "w": "eloise"}, {"v": ("w",), "w": ("w",)})
-    region, _ = almost_sure_reach(g, frozenset({"v"}))
+    region, _ = on_names(almost_sure_reach, g, frozenset({"v"}))
     assert "v" in region
 
 
@@ -372,15 +396,15 @@ def test_almost_sure_reach_rejects_coin_to_wrong_sink():
         dist={"s": Distribution.half_half("yes", "no")},
         initial="s",
     )
-    region, _ = almost_sure_reach(g, frozenset({"yes"}))
+    region, _ = on_names(almost_sure_reach, g, frozenset({"yes"}))
     assert "s" not in region and "yes" in region and "no" not in region
 
 
 def test_almost_sure_buchi_trivial_cases():
     g = arena({"v": "eloise"}, {"v": ("v",)})
-    region, _ = almost_sure_buchi(g, frozenset({"v"}))
+    region, _ = on_names(almost_sure_buchi, g, frozenset({"v"}))
     assert "v" in region
-    region2, _ = almost_sure_buchi(g, frozenset())
+    region2, _ = on_names(almost_sure_buchi, g, frozenset())
     assert not region2
 
 
@@ -389,14 +413,15 @@ def test_solvers_and_strategies_match_oracles_on_random_suite():
     for _ in range(120):
         g = random_arena(rng, 7)
         target = random_target(rng, g)
-        region_b, strat_b = almost_sure_buchi(g, target)
-        assert region_b == oracle_almost_sure_buchi(g, target)
-        region_r, strat_r = almost_sure_reach(g, target)
-        assert region_r == oracle_almost_sure_reach(g, target)
-        if g.initial in region_b:
-            assert check_buchi_strategy(g, target, total_strategy(g, strat_b))
-        if g.initial in region_r:
-            assert check_reach_strategy(g, target, total_strategy(g, strat_r))
+        a, goal, names = number(g, target)
+        region_b, strat_b = almost_sure_buchi(a, goal)
+        assert {names[v] for v in region_b} == oracle_almost_sure_buchi(g, target)
+        region_r, strat_r = almost_sure_reach(a, goal)
+        assert {names[v] for v in region_r} == oracle_almost_sure_reach(g, target)
+        if a.initial in region_b:
+            assert check_buchi_strategy(a, goal, total_strategy(a, strat_b))
+        if a.initial in region_r:
+            assert check_reach_strategy(a, goal, total_strategy(a, strat_r))
 
 
 def test_check_buchi_strategy_reduces_to_chain_verdict_without_opponent():
@@ -407,8 +432,9 @@ def test_check_buchi_strategy_reduces_to_chain_verdict_without_opponent():
         initial="s",
     )
     s = PositionalStrategy(ELOISE, {})
-    chain = as_markov_chain(fix_strategy(g, s), frozenset({"x"}))
-    assert check_buchi_strategy(g, frozenset({"x"}), s) == as_verdict(support_chain(chain), "buchi")
+    chain = as_markov_chain(arena_oracles.fix_strategy(g, s), frozenset({"x"}))
+    a, goal, _ = number(g, frozenset({"x"}))
+    assert check_buchi_strategy(a, goal, s) == as_verdict(support_chain(chain), "buchi")
 
 
 def test_check_buchi_strategy_rejects_target_free_cycle():
@@ -417,16 +443,52 @@ def test_check_buchi_strategy_rejects_target_free_cycle():
         {"e": ("f", "loop"), "f": ("e",), "loop": ("loop",)},
         initial="e",
     )
-    bad = PositionalStrategy(ELOISE, {"e": "loop", "f": "e", "loop": "loop"})
-    good = PositionalStrategy(ELOISE, {"e": "f", "f": "e", "loop": "loop"})
-    assert not check_buchi_strategy(g, frozenset({"f"}), bad)
-    assert check_buchi_strategy(g, frozenset({"f"}), good)
+    a, goal, names = number(g, frozenset({"f"}))
+    e, f, loop = (names.index(v) for v in ("e", "f", "loop"))
+    bad = PositionalStrategy(ELOISE, {e: loop, f: e, loop: loop})
+    good = PositionalStrategy(ELOISE, {e: f, f: e, loop: loop})
+    assert not check_buchi_strategy(a, goal, bad)
+    assert check_buchi_strategy(a, goal, good)
+
+
+def test_id_strategy_checks_tie_to_the_named_reference():
+    """On every positional strategy of 300 seeded arenas, `fix_strategy`
+    leaves the named, weighted MDP it replaced, numbered in the same order,
+    and the checks on ids give the named checks' verdicts.  On the same
+    arenas, `almost_sure_reach` on ids gives the region and the choices of
+    the named route it replaced: the named absorbing arena numbered into
+    the core, with her target vertices on their first edge."""
+    rng = random.Random(19)
+    verdicts, strategies = set(), 0
+    for _ in range(300):
+        g = random_arena(rng, 8)
+        target = random_target(rng, g)
+        a, goal, names = number(g, target)
+        for s in eloise_positional_strategies(a):
+            named = PositionalStrategy(ELOISE, {names[v]: names[w] for v, w in s.choice.items()})
+            m = arena_oracles.fix_strategy(g, named)
+            view, old = fix_strategy(a, s.choice), view_of_mdp(m)
+            assert (tuple(names[v] for v in view.states), view.initial, view.moves) == (
+                old.states, old.initial, old.moves)
+            verdict = (check_buchi_strategy(a, goal, s), check_reach_strategy(a, goal, s))
+            assert verdict == (not controller_positive_cobuchi(m, target),
+                               not controller_positive_avoid(m, target))
+            verdicts.add(verdict)
+            strategies += 1
+        absorbed, goal2, names2 = number(arena_oracles._absorb(g, target), target)
+        old_region, old_choice = _as_buchi_core(absorbed, goal2)
+        old_choice = {names2[v]: names2[w] for v, w in old_choice.items()}
+        old_choice.update({v: g.edges[v][0] for v in g.eloise & target})
+        region, s = almost_sure_reach(a, goal)
+        assert {names[v] for v in region} == {names2[v] for v in old_region}
+        assert {names[v]: names[w] for v, w in s.choice.items()} == old_choice
+    assert verdicts == {(True, True), (False, True), (False, False)} and strategies > 1000
 
 
 def test_almost_sure_cobuchi_trivial_cases():
     g = arena({"v": "eloise"}, {"v": ("v",)})
-    assert almost_sure_cobuchi(g, frozenset())
-    assert not almost_sure_cobuchi(g, frozenset({"v"}))
+    assert cobuchi_on_names(g, frozenset())
+    assert not cobuchi_on_names(g, frozenset({"v"}))
 
 
 def test_almost_sure_cobuchi_collapses_on_controller_free_arenas():
@@ -441,7 +503,7 @@ def test_almost_sure_cobuchi_collapses_on_controller_free_arenas():
             Mdp(StochasticArena(g.eloise, frozenset(), g.random, g.edges, g.dist, g.initial)),
             target,
         )
-        assert almost_sure_cobuchi(flipped, target) == expected
+        assert cobuchi_on_names(flipped, target) == expected
 
 
 def _enumerated_cobuchi(g: StochasticArena, target, choice_bound: int = 2**20) -> bool:
@@ -450,15 +512,15 @@ def _enumerated_cobuchi(g: StochasticArena, target, choice_bound: int = 2**20) -
     refuted by the opponent-as-controller analysis."""
     if math.prod(len(g.edges[v]) for v in g.eloise) > choice_bound:
         raise ResourceLimit("protagonist choice space", choice_bound)
-    return any(not controller_positive_buchi(fix_strategy(g, s), frozenset(target))
-               for s in eloise_positional_strategies(g))
+    return any(not controller_positive_buchi(arena_oracles.fix_strategy(g, s), frozenset(target))
+               for s in arena_oracles.eloise_positional_strategies(g))
 
 
 def test_almost_sure_cobuchi_size_guard():
     owners = {f"v{i}": "eloise" for i in range(25)}
     edges = {f"v{i}": tuple(f"v{j}" for j in range(25)) for i in range(25)}
     g = arena(owners, edges, initial="v0")
-    for solve in (almost_sure_cobuchi, _enumerated_cobuchi):
+    for solve in (cobuchi_on_names, _enumerated_cobuchi):
         with pytest.raises(ResourceLimit):
             solve(g, frozenset({"v0"}))
 
@@ -470,11 +532,11 @@ def test_almost_sure_cobuchi_matches_the_enumeration_oracle():
         g = random_arena(rng, 8)
         g = with_initial(g, rng.choice(csorted(g.vertices)))
         for target in _targets(rng, g):
-            verdict = almost_sure_cobuchi(g, target)
+            verdict = cobuchi_on_names(g, target)
             assert verdict == _enumerated_cobuchi(g, target)
             seen.add(verdict)
     for g, target in _acceptance_arenas(89, 30):
-        verdict = almost_sure_cobuchi(g, target)
+        verdict = cobuchi_on_names(g, target)
         assert verdict == _enumerated_cobuchi(g, target)
         seen.add(verdict)
     rng = random.Random(97)
@@ -494,7 +556,7 @@ def test_gadget_structure_and_trivial_instance():
     gate = ("gate", "f")
     assert g2.dist[gate] == Distribution.half_half(goal_vertex, "f")
     assert g2.edges[gate] == (goal_vertex, "f")
-    region, _ = almost_sure_reach(g2, goal)
+    region, _ = on_names(almost_sure_reach, g2, goal)
     assert g2.initial in region
 
 
@@ -503,9 +565,9 @@ def test_gadget_preserves_verdicts_everywhere():
     for _ in range(60):
         g = random_arena(rng, 6)
         target = random_target(rng, g)
-        region_b, _ = almost_sure_buchi(g, target)
+        region_b, _ = on_names(almost_sure_buchi, g, target)
         g2, goal = buchi_to_reachability(g, target)
-        region_r, _ = almost_sure_reach(g2, goal)
+        region_r, _ = on_names(almost_sure_reach, g2, goal)
         assert region_b == region_r & g.vertices
 
 
@@ -521,8 +583,8 @@ def test_verdicts_invariant_under_reweighting():
             total = sum(weights)
             dist2[v] = Distribution({w: Fraction(x, total) for w, x in zip(support, weights)})
         g2 = StochasticArena(g.eloise, g.abelard, g.random, g.edges, dist2, g.initial)
-        assert almost_sure_buchi(g, target)[0] == almost_sure_buchi(g2, target)[0]
-        assert almost_sure_reach(g, target)[0] == almost_sure_reach(g2, target)[0]
+        # the solvers and the oracles see only the numbered arena
+        assert number(g, target) == number(g2, target)
 
 
 def test_with_initial_moves_the_start_vertex():
@@ -583,19 +645,21 @@ def _sweep_as_buchi(g, target):
 
 
 def _assert_core_matches_sweep(g, target, starts):
-    """Regions equal to the sweep's; strategies win from the given starts."""
-    region_b, strat_b = almost_sure_buchi(g, target)
-    assert region_b == _sweep_as_buchi(g, target)
-    region_r, strat_r = almost_sure_reach(g, target)
-    assert region_r == _sweep_as_buchi(_absorb(g, target), target)
-    assert set(strat_b.choice) == region_b & g.eloise
-    total_b, total_r = total_strategy(g, strat_b), total_strategy(g, strat_r)
-    for v in starts:
+    """Regions equal to the sweep's; strategies win from the given starts.
+    Returns the regions by name."""
+    a, goal, names = number(g, target)
+    region_b, strat_b = almost_sure_buchi(a, goal)
+    assert {names[v] for v in region_b} == _sweep_as_buchi(g, target)
+    region_r, strat_r = almost_sure_reach(a, goal)
+    assert {names[v] for v in region_r} == _sweep_as_buchi(arena_oracles._absorb(g, target), target)
+    assert set(strat_b.choice) == region_b & set(a.eloise)
+    total_b, total_r = total_strategy(a, strat_b), total_strategy(a, strat_r)
+    for v in map(names.index, starts):
         if v in region_b:
-            assert check_buchi_strategy(with_initial(g, v), target, total_b)
+            assert check_buchi_strategy(replace(a, initial=v), goal, total_b)
         if v in region_r:
-            assert check_reach_strategy(with_initial(g, v), target, total_r)
-    return region_b, region_r
+            assert check_reach_strategy(replace(a, initial=v), goal, total_r)
+    return {names[v] for v in region_b}, {names[v] for v in region_r}
 
 
 def _targets(rng, g):
@@ -691,10 +755,10 @@ def test_trusted_builders_pass_the_public_constructor():
         g = random_arena(rng, 6)
         target = random_target(rng, g)
         built += [
-            _absorb(g, target),
+            arena_oracles._absorb(g, target),
             with_initial(g, csorted(g.vertices)[-1]),
             buchi_to_reachability(g, target)[0],
-            fix_strategy(g, next(eloise_positional_strategies(g))).arena,
+            arena_oracles.fix_strategy(g, next(arena_oracles.eloise_positional_strategies(g))).arena,
         ]
         game, tgt = random_imperfect_arena(rng)
         built.append(named_full_information_arena(game, tgt)[0])
