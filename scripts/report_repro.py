@@ -9,7 +9,7 @@ seeded arenas with targets, then COUNT more seeded alternating Buchi
 automata, then COUNT seeded simple prob-word automata, each with a lasso
 word and a regular tree.  It writes them as files to a temporary directory
 and runs `qualtree membership` (Buchi and co-Buchi acceptance), `qualtree
-solve-game --objective reach|buchi|cobuchi` (reach and buchi also with
+solve-game --objective reach|buchi|cobuchi` (each also with
 --oracle), `qualtree check-emptiness AUT --witness W`, `qualtree
 word-membership` on each prob-word automaton and its word, and `qualtree
 ptree-membership` on its diagonal and crossed lifts and the tree (Buchi
@@ -66,8 +66,7 @@ def write_inputs(seed: int, count: int) -> list[list[str]]:
             fh.write(serialize_arena(g, random_target(rng, g)))
         for objective in ("reach", "buchi", "cobuchi"):
             commands.append(["solve-game", f"g{k}.arena", "--objective", objective])
-            if objective != "cobuchi":
-                commands.append(["solve-game", f"g{k}.arena", "--objective", objective, "--oracle"])
+            commands.append(["solve-game", f"g{k}.arena", "--objective", objective, "--oracle"])
     for k in range(count):
         aut, final = random_alternating_buchi(rng, max_states=4)
         with open(f"e{k}.aut", "w") as fh:

@@ -6,18 +6,18 @@ branching and target membership, so the qualitative verdict is unchanged;
 the test suite additionally checks invariance under duplicated-node
 presentations of the same tree.
 
-Büchi membership is solved on the tree's node graph, without the quotient:
-the region and each attractor are one bitmask of states per node, and a
-coin vertex is read off its two children's masks (`buchi_node_region`).
-Co-Büchi membership is still decided on the quotient.
+Membership is decided on one encoding of that game, `_node_game`, with no
+coin vertices: Büchi with one bitmask of states per node for the region
+and each attractor (`buchi_node_region`), co-Büchi by enumerating her
+choice of row at each of her state vertices (`_node_moves`).
 
-The quotient is an integer `games.Arena` with no weights, since the
-qualitative verdict reads only supports.  With the states in canonical
-order and the nodes in the tree's order, state vertex (q, n) has id
-rank(q)·|N| + rank(n); one random vertex per matching split row follows,
-in the order the state vertices list them.  Names (`state_vertex`,
-`random_vertex`) and the even split of each random vertex are given only
-at the file boundary, by `name_arena`.
+The pebble arena of the file boundary and the reductions is an integer
+`games.Arena` with no weights, since the qualitative verdict reads only
+supports.  With the states in canonical order and the nodes in the tree's
+order, state vertex (q, n) has id rank(q)·|N| + rank(n); one random vertex
+per matching split row follows, in the order the state vertices list them.
+Names (`state_vertex`, `random_vertex`) and the even split of each random
+vertex are given only at the file boundary, by `name_arena`.
 """
 
 from __future__ import annotations
@@ -119,13 +119,6 @@ def build_tree_game_arena(
     return Arena(succ + coins, bytes(owner), base[initial_state] + root)
 
 
-def state_ids(states: Sequence[str], subset, tree: RegularTree) -> frozenset:
-    """Ids of the state vertices whose state is in ``subset``."""
-    width = len(tree.nodes)
-    return frozenset(i * width + j for i, q in enumerate(states) if q in subset
-                     for j in range(width))
-
-
 def name_arena(arena: Arena, states: Sequence[str], tree: RegularTree) -> StochasticArena:
     """The named, weighted arena of the file boundary: id (q, n) is
     `state_vertex(q, n)`, and a random id, whose only predecessor is the
@@ -157,17 +150,6 @@ def name_arena(arena: Arena, states: Sequence[str], tree: RegularTree) -> Stocha
     )
 
 
-def _membership_arena(a: AlternatingTreeAutomaton, states: Sequence[str], t: RegularTree) -> Arena:
-    return build_tree_game_arena(
-        states=states,
-        eloise=a.eloise,
-        split_transitions=a.transitions,
-        local_transitions=frozenset(),
-        initial_state=a.initial,
-        tree=t,
-    )
-
-
 @dataclass(frozen=True)
 class AcceptanceGame:
     arena: StochasticArena
@@ -180,7 +162,9 @@ def build_acceptance_game(
     """The membership game with named vertices, for the file boundary and
     the oracles."""
     states = csorted(a.states)
-    arena = name_arena(_membership_arena(a, states, t), states, t)
+    arena = name_arena(build_tree_game_arena(
+        states=states, eloise=a.eloise, split_transitions=a.transitions,
+        local_transitions=frozenset(), initial_state=a.initial, tree=t), states, t)
     target = frozenset(state_vertex(q, n) for q in final for n in t.nodes)
     return AcceptanceGame(arena, target)
 
@@ -294,14 +278,32 @@ def buchi_node_region(
         region = [m & ~x for m, x in zip(region, lost)]
 
 
+def _node_moves(game: tuple, k: int) -> list:
+    """The moves at the state vertices of the `_node_game` of k states: id
+    rank(q)·|N| + n has one support {(q0, left n), (q1, right n)} per row of
+    (q, label n), equal ones kept, in the sorted order of the rows' names
+    and the arena's coins.  A coin has one predecessor, so an end component
+    holds it only with its state vertex: leaving coins out keeps verdicts."""
+    rows, sym, left, right, _ = game
+    ordered = [sorted(rs) for rs in rows]  # as the names, since bits follow the rank
+    base = {1 << i: i * len(sym) for i in range(k)}  # state bit -> id at node 0
+    return [tuple(frozenset((base[b0] + left[n], base[b1] + right[n]))
+                  for p, b0, b1 in ordered[s] if p == 1 << q)
+            for q in range(k) for n, s in enumerate(sym)]
+
+
 def qualitative_membership(
     a: AlternatingTreeAutomaton, cond: AcceptanceCondition, t: RegularTree
 ) -> bool:
     """Does the protagonist win the pebble game almost surely on this tree?
-    Büchi is decided on node masks, co-Büchi on the pebble arena."""
+    Both conditions are decided on the `_node_game`."""
     states = csorted(a.states)
     if cond.kind == BUCHI:
         region = buchi_node_region(a, states, cond.target, t)
         return bool(region[t.nodes.index(t.root)] >> states.index(a.initial) & 1)
-    arena = _membership_arena(a, states, t)
-    return almost_sure_cobuchi(arena, state_ids(states, cond.target, t))
+    moves = _node_moves(_node_game(a, states, t), len(states))
+    w = len(t.nodes)
+    mine, goal = ([v for i, q in enumerate(states) if q in qs for v in range(i * w, i * w + w)]
+                  for qs in (a.eloise, cond.target))
+    root = states.index(a.initial) * w + t.nodes.index(t.root)
+    return almost_sure_cobuchi(moves, mine, root, goal)

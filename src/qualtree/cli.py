@@ -51,9 +51,14 @@ from qualtree.games import (
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
+    arena_moves,
     number,
 )
-from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
+from qualtree.game_oracles import (
+    oracle_almost_sure_buchi,
+    oracle_almost_sure_cobuchi,
+    oracle_almost_sure_reach,
+)
 from qualtree.markov import lasso_membership_word, prob_tree_membership
 from qualtree.reductions import (
     lift_diagonal,
@@ -242,7 +247,9 @@ def cmd_solve_game(args) -> int:
     arena, goal, names = number(named, target)
     agree = None
     if args.objective == "cobuchi":
-        verdict = almost_sure_cobuchi(arena, goal)
+        verdict = almost_sure_cobuchi(arena_moves(arena), arena.eloise, arena.initial, goal)
+        if args.oracle:
+            agree = verdict == (named.initial in oracle_almost_sure_cobuchi(named, target))
     else:
         solve, oracle = ((almost_sure_reach, oracle_almost_sure_reach) if args.objective == "reach"
                          else (almost_sure_buchi, oracle_almost_sure_buchi))

@@ -7,11 +7,11 @@ with positive probability inside the region.  Within a closed finite
 region, uniformly positive single-shot progress bootstraps to probability
 one, which is why this characterises the almost-sure set.
 
-The solvers, the strategy checks and the oracles all take an integer
-`Arena`: successor ids and an owner code per vertex, no weights.  A named
-`StochasticArena` is the type of the file boundary only; its caller numbers
-it once, in `g.edges` order, with `number`, and names the answer back.  The
-region comes from two attractors on ids, one worklist attractor for both: the
+The fixed-point solvers, the strategy checks and the oracles take an
+integer `Arena`: successor ids and an owner code per vertex, no weights.  A
+named `StochasticArena` is the type of the file boundary only; its caller
+numbers it once, in `g.edges` order, with `number`, and names the answer
+back.  The region comes from two attractors on ids, one for both: the
 protagonist's attractor to the target (her vertices and the coin's
 attract), and, while it misses some vertex of the region, the opponent's
 attractor to the missed vertices (his vertices and the coin's attract),
@@ -24,8 +24,9 @@ the target made absorbing.
 
 A positional strategy of the protagonist leaves an MDP to the opponent,
 `fix_strategy`, as an `MdpView` on the same ids: the strategy checks refute
-a strategy on it with end components, and the co-Büchi enumeration builds
-the same rows once and rewrites only hers from one strategy to the next.
+a strategy on it with end components.  The co-Büchi enumeration takes
+moves per vertex, with no `Arena` (`arena_moves` gives an arena's), and
+rewrites only her rows from one strategy to the next.
 
 The normative definition of correctness is the positional-strategy
 enumeration oracle in :mod:`qualtree.game_oracles`; the fixed point here
@@ -147,8 +148,8 @@ class PositionalStrategy:
 # Generic MDP view: controller states numbered once, with a finite set of moves,
 # each move the support of a distribution.  End components and the qualitative
 # verdicts built on them depend only on supports.  The MDP a positional
-# strategy leaves on an `Arena` (strategy checks, the co-Büchi enumeration)
-# and the emptiness search's products use this layer.
+# strategy leaves on an `Arena` (strategy checks), the co-Büchi enumeration's
+# games and the emptiness search's products use this layer.
 # ---------------------------------------------------------------------------
 
 
@@ -162,18 +163,16 @@ class MdpView:
         return set().union(*self.moves[s])
 
 
-def _opponent_moves(a: Arena) -> list:
-    """Rows of the MDP that her positional choice leaves, made once: the
-    opponent has one move per successor, the coin one move, its support.
-    Her rows are placeholders, to be replaced by one move to her choice."""
-    return [tuple(frozenset((w,)) for w in ws) if o == OWN_ABELARD else (frozenset(ws),)
+def arena_moves(a: Arena) -> list:
+    """Moves as supports: a player's one per successor, the coin's one, its support."""
+    return [(frozenset(ws),) if o == OWN_RANDOM else tuple(frozenset((w,)) for w in ws)
             for ws, o in zip(a.succ, a.owner)]
 
 
 def fix_strategy(a: Arena, choice: dict) -> MdpView:
     """The MDP her positional choice (id -> successor id) leaves to the
     opponent, who controls it: her vertex v has one move, to choice[v]."""
-    moves = _opponent_moves(a)
+    moves = arena_moves(a)
     for v in a.eloise:
         if v not in choice:
             raise ValueError(f"strategy does not cover vertex {v}")
@@ -429,26 +428,24 @@ def eloise_positional_strategies(a: Arena):
         yield PositionalStrategy(ELOISE, dict(zip(mine, combo)))
 
 
-def almost_sure_cobuchi(a: Arena, target, choice_bound: int = 2**20) -> bool:
-    """Almost-sure finitely-many-visits verdict from the initial vertex.
+def almost_sure_cobuchi(moves, mine, initial: int, target, choice_bound: int = 2**20) -> bool:
+    """Almost-sure finitely-many-visits verdict from `initial`, in the game
+    of `moves` per vertex (as `arena_moves`) where she fixes one move at
+    each vertex of `mine` and the opponent controls the rest.
 
-    Solved by enumeration over the protagonist's positional strategies
-    (positional strategies suffice on finite arenas), her vertices taken in
-    id order; each candidate is refuted exactly by the opponent-as-controller
-    analysis.  The MDP a strategy leaves is built from the rows of
-    `_opponent_moves`, made once; only her rows, one move to her choice,
-    change from one strategy to the next.
+    Solved by enumeration over her positional strategies (positional
+    strategies suffice on finite games), her vertices in the order of
+    `mine`; each is refuted exactly by the opponent-as-controller analysis.
+    The rows are copied once, and only hers change between strategies.
     """
     goal = frozenset(target)
-    mine = a.eloise
-    if math.prod(len(a.succ[v]) for v in mine) > choice_bound:
+    if math.prod(len(moves[v]) for v in mine) > choice_bound:
         raise ResourceLimit("protagonist choice space", choice_bound)
-    moves = _opponent_moves(a)
-    options = [[(frozenset((w,)),) for w in a.succ[v]] for v in mine]
-    states = range(len(moves))
+    options = [[(d,) for d in moves[v]] for v in mine]
+    moves, states = list(moves), range(len(moves))
     for combo in itertools.product(*options):
         for v, row in zip(mine, combo):
             moves[v] = row
-        if not _positive_buchi_view(MdpView(states, a.initial, moves), goal):
+        if not _positive_buchi_view(MdpView(states, initial, moves), goal):
             return True
     return False

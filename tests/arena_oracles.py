@@ -13,20 +13,26 @@ The named MDP layer that the solvers on ids replaced is kept as the
 weighted reference of the strategy checks: ``Mdp``, the weighted
 ``fix_strategy`` (either player's strategy, as point distributions),
 ``eloise_positional_strategies`` on names, ``view_of_mdp``, ``_ids``,
-``controller_positive_cobuchi`` and ``controller_positive_avoid``, the
-named ``_absorb`` and ``with_initial``, and ``random_mdp_arena``, the
-random controller arenas of their tests.
+``controller_positive_buchi``, ``controller_positive_cobuchi`` and
+``controller_positive_avoid``, the named ``_absorb`` and ``with_initial``,
+and ``random_mdp_arena``, the random controller arenas of their tests.
+``_enumerated_cobuchi`` is the co-Büchi enumeration on that layer, kept as
+the oracle of ``games.almost_sure_cobuchi``, and ``state_ids`` numbers a
+state set on the pebble arena of ``acceptance.build_tree_game_arena``, on
+which co-Büchi membership was decided before it moved to the node game.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from qualtree.dist import Distribution
+from qualtree.errors import ResourceLimit
 from qualtree.games import (
     ELOISE,
     OWN_ABELARD,
@@ -36,6 +42,7 @@ from qualtree.games import (
     PositionalStrategy,
     StochasticArena,
     _positive_avoid_view,
+    _positive_buchi_view,
     _positive_cobuchi_view,
 )
 from qualtree.ordering import csorted
@@ -284,6 +291,13 @@ def _ids(view: MdpView, states) -> frozenset:
     return frozenset(i for i, s in enumerate(view.states) if s in states)
 
 
+def controller_positive_buchi(m: Mdp, target: frozenset) -> bool:
+    """True iff the controller can visit the target infinitely often with
+    positive probability (some reachable MEC meets the target)."""
+    view = view_of_mdp(m)
+    return _positive_buchi_view(view, _ids(view, target))
+
+
 def controller_positive_cobuchi(m: Mdp, target: frozenset) -> bool:
     """True iff the controller can, with positive probability, eventually
     avoid the target forever.
@@ -301,6 +315,24 @@ def controller_positive_avoid(m: Mdp, target: frozenset) -> bool:
     probability (safety, not just co-Buchi)."""
     view = view_of_mdp(m)
     return _positive_avoid_view(view, _ids(view, target))
+
+
+def _enumerated_cobuchi(g: StochasticArena, target, choice_bound: int = 2**20) -> bool:
+    """The co-Buchi enumeration the solver replaced, kept as its oracle: each
+    positional strategy fixed into a fresh arena, numbered again, and
+    refuted by the opponent-as-controller analysis."""
+    if math.prod(len(g.edges[v]) for v in g.eloise) > choice_bound:
+        raise ResourceLimit("protagonist choice space", choice_bound)
+    return any(not controller_positive_buchi(fix_strategy(g, s), frozenset(target))
+               for s in eloise_positional_strategies(g))
+
+
+def state_ids(states: Sequence[str], subset, tree) -> frozenset:
+    """Ids of the pebble arena's state vertices whose state is in ``subset``:
+    (q, n) is rank(q)·|N| + rank(n)."""
+    width = len(tree.nodes)
+    return frozenset(i * width + j for i, q in enumerate(states) if q in subset
+                     for j in range(width))
 
 
 def _absorb(g: StochasticArena, target: frozenset) -> StochasticArena:

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 import random
 
 import pytest
 
-from qualtree import acceptance
+from qualtree import acceptance, games
 from qualtree.acceptance import (
     _node_attractor,
     _node_game,
@@ -12,7 +13,6 @@ from qualtree.acceptance import (
     buchi_node_region,
     qualitative_membership,
     random_vertex,
-    state_ids,
     state_vertex,
 )
 from qualtree.automata import (
@@ -24,7 +24,7 @@ from qualtree.automata import (
     universal_to_alternating,
 )
 from qualtree.dist import Distribution
-from qualtree.errors import FormatError
+from qualtree.errors import FormatError, ResourceLimit
 from qualtree.gallery import constant_tree, contradictory_uniformity_automaton
 from qualtree.game_oracles import oracle_almost_sure_buchi
 from qualtree.games import (
@@ -36,6 +36,7 @@ from qualtree.games import (
     _as_buchi_core,
     _attractor,
     almost_sure_buchi,
+    arena_moves,
     check_buchi_strategy,
     number,
 )
@@ -44,6 +45,7 @@ from qualtree.ordering import csorted
 from qualtree.reductions import build_nonzero_arena, lift_swap, universalize
 from qualtree.suite import random_alternating_buchi, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
+from arena_oracles import _enumerated_cobuchi, state_ids
 
 A_ONLY = Alphabet(("a",))
 
@@ -466,8 +468,8 @@ def _raised(call) -> tuple:
 
 def test_buchi_route_raises_the_builders_errors():
     """Missing rows, undeclared states and foreign nodes fail the Büchi
-    route with the builder's exception and message, which the co-Büchi
-    route, still on the builder, raises too."""
+    route with the builder's exception and message, and a missing row fails
+    the co-Büchi route, on the same node game, with them too."""
     rng = random.Random(43)
     holes = 0
     for _ in range(300):
@@ -508,3 +510,70 @@ def test_buchi_route_raises_the_builders_errors():
             expected = _raised(lambda: _arena(aut, states, foreign))
             assert _raised(lambda: qualitative_membership(aut, buchi(final), foreign)) == expected
     assert holes > 100
+
+
+# ---------------------------------------------------------------------------
+# Co-Büchi membership on the node game's rows against the pebble arena's
+# coins it replaced, and the named enumeration oracle.
+# ---------------------------------------------------------------------------
+
+
+def _mirrored(rng, aut):
+    """The automaton with the row (q, a, y, x) added, at random, to her
+    rows (q, a, x, y) with x ≠ y."""
+    extra = {(q, s, y, x) for (q, s, x, y) in aut.transitions
+             if q in aut.eloise and x != y and rng.random() < 0.5}
+    return dataclasses.replace(aut, transitions=aut.transitions | extra)
+
+
+def test_cobuchi_node_rows_are_the_arena_coins(monkeypatch):
+    """1,200 draws: random ones, with her rows mirrored on every second one,
+    and layered ones.  Co-Büchi membership hands the enumeration the node
+    game's rows, which must be the arena's coins: at each state vertex the
+    coins' supports, in the arena's order, so her move count, the
+    strategies tried and their order are the arena's.  Under a small
+    choice bound, membership, the enumeration on the arena's moves and the
+    named enumeration oracle refuse the same draws and agree on the rest."""
+    bound = 64
+    calls = []
+
+    def bounded(moves, mine, initial, target):
+        calls.append((moves, mine, initial, frozenset(target)))
+        return games.almost_sure_cobuchi(moves, mine, initial, target, bound)
+
+    def verdict(solve):
+        try:
+            return solve()
+        except ResourceLimit:
+            return "refused"
+
+    monkeypatch.setattr(acceptance, "almost_sure_cobuchi", bounded)
+    rng = random.Random(29)
+    seen = {True: 0, False: 0, "refused": 0}
+    loops = twins = 0
+    for i in range(1200):
+        if i % 6 == 5:
+            aut, final, t = layered_buchi(rng)
+        else:
+            aut, final = random_alternating_buchi(rng, max_states=4)
+            if i % 2:
+                aut = _mirrored(rng, aut)
+            t = random_regular_tree(rng, 5, aut.alphabet)
+        states = csorted(aut.states)
+        arena, goal = _arena(aut, states, t), state_ids(states, final, t)
+        calls.clear()
+        got = verdict(lambda: qualitative_membership(aut, cobuchi(final), t))
+        ((moves, mine, initial, target),) = calls
+        assert moves == [tuple(frozenset(arena.succ[c]) for c in arena.succ[v])
+                         for v in range(len(states) * len(t.nodes))]
+        assert (mine, initial, target) == (arena.eloise, arena.initial, goal)
+        assert math.prod(len(moves[v]) for v in mine) == math.prod(
+            len(arena.succ[v]) for v in arena.eloise)
+        assert got == verdict(lambda: games.almost_sure_cobuchi(
+            arena_moves(arena), arena.eloise, arena.initial, goal, bound))
+        game = build_acceptance_game(aut, final, t)
+        assert got == verdict(lambda: _enumerated_cobuchi(game.arena, game.target, bound))
+        seen[got] += 1
+        loops += any(t.succ0[n] == t.succ1[n] for n in t.nodes)
+        twins += any(len(set(moves[v])) < len(moves[v]) for v in mine)
+    assert min(seen.values()) >= 150 and loops >= 600 and twins >= 60, (seen, loops, twins)

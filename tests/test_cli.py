@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from qualtree import cli
 from qualtree.automata import buchi, cobuchi
 from qualtree.cli import main
 from qualtree.fileformat import (
@@ -166,14 +167,33 @@ def test_solve_game_with_oracle(tmp_path):
     p = tmp_path / "g.arena"
     p.write_text(serialize_arena(g, target))
     for objective in ("reach", "buchi", "cobuchi"):
-        args = ["solve-game", str(p), "--objective", objective]
-        if objective != "cobuchi":
-            args.append("--oracle")
-        code, out = run_cli(*args)
+        code, out = run_cli("solve-game", str(p), "--objective", objective, "--oracle")
         assert code in (0, 1)
         assert re.search(r"verdict: (true|false)", out)
-        if objective != "cobuchi":
-            assert "oracle-agreement: yes" in out
+        assert "oracle-agreement: yes" in out
+
+
+def test_solve_game_cobuchi_oracle_is_run(tmp_path, monkeypatch):
+    """The co-Büchi oracle decides the start vertex as the solver does on
+    arenas of both verdicts, and a disagreement exits 4."""
+    p = tmp_path / "g.arena"
+    p.write_text("arena\ninit v\nvertex v eloise\nedge v v\ntarget v\n")
+    code, out = run_cli("solve-game", str(p), "--objective", "cobuchi", "--oracle")
+    assert code == 1 and "oracle-agreement: yes" in out
+    rng = random.Random(73)
+    codes = set()
+    for _ in range(40):
+        g = random_arena(rng, 6)
+        p.write_text(serialize_arena(g, random_target(rng, g)))
+        code, out = run_cli("solve-game", str(p), "--objective", "cobuchi", "--oracle")
+        assert "oracle-agreement: yes" in out
+        codes.add(code)
+    assert codes == {0, 1}
+    oracle = cli.oracle_almost_sure_cobuchi
+    monkeypatch.setattr(cli, "oracle_almost_sure_cobuchi",
+                        lambda g, target: g.vertices - oracle(g, target))
+    code, out = run_cli("solve-game", str(p), "--objective", "cobuchi", "--oracle")
+    assert code == 4 and "oracle-agreement: no" in out
 
 
 def test_reduce_universalize_bound(files, tmp_path):

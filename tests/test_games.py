@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qualtree.acceptance import (
-    _membership_arena,
     build_acceptance_game,
+    build_tree_game_arena,
     qualitative_membership,
-    state_ids,
 )
 from qualtree.automata import cobuchi
 from qualtree.dist import Distribution
@@ -30,6 +28,7 @@ from qualtree.games import (
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
+    arena_moves,
     check_buchi_strategy,
     check_reach_strategy,
     eloise_positional_strategies,
@@ -51,12 +50,14 @@ from qualtree.suite import (
 import arena_oracles
 from arena_oracles import (
     Mdp,
-    _ids,
+    _enumerated_cobuchi,
     buchi_to_reachability,
     controller_positive_avoid,
+    controller_positive_buchi,
     controller_positive_cobuchi,
     named_full_information_arena,
     random_mdp_arena,
+    state_ids,
     view_of_mdp,
     with_initial,
 )
@@ -103,7 +104,7 @@ def on_names(solve, g: StochasticArena, target):
 
 def cobuchi_on_names(g: StochasticArena, target, choice_bound: int = 2**20) -> bool:
     a, goal, _ = number(g, target)
-    return almost_sure_cobuchi(a, goal, choice_bound)
+    return almost_sure_cobuchi(arena_moves(a), a.eloise, a.initial, goal, choice_bound)
 
 
 def arena(owners, edges, dist=None, initial=None):
@@ -302,13 +303,6 @@ def test_mecs_match_subset_brute_force():
         assert {c for c, _ in max_end_components(m)} == _brute_force_mecs(m)
 
 
-def controller_positive_buchi(m: Mdp, target: frozenset) -> bool:
-    """True iff the controller can visit the target infinitely often with
-    positive probability (some reachable MEC meets the target)."""
-    view = view_of_mdp(m)
-    return _positive_buchi_view(view, _ids(view, target))
-
-
 def test_controller_positive_buchi_trivial_cases():
     g = arena({"v": "eloise"}, {"v": ("v",)})
     assert not controller_positive_buchi(Mdp(g), frozenset())
@@ -504,16 +498,6 @@ def test_almost_sure_cobuchi_collapses_on_controller_free_arenas():
             target,
         )
         assert cobuchi_on_names(flipped, target) == expected
-
-
-def _enumerated_cobuchi(g: StochasticArena, target, choice_bound: int = 2**20) -> bool:
-    """The co-Buchi enumeration the solver replaced, kept as its oracle: each
-    positional strategy fixed into a fresh arena, numbered again, and
-    refuted by the opponent-as-controller analysis."""
-    if math.prod(len(g.edges[v]) for v in g.eloise) > choice_bound:
-        raise ResourceLimit("protagonist choice space", choice_bound)
-    return any(not controller_positive_buchi(arena_oracles.fix_strategy(g, s), frozenset(target))
-               for s in arena_oracles.eloise_positional_strategies(g))
 
 
 def test_almost_sure_cobuchi_size_guard():
@@ -714,7 +698,9 @@ def _membership_int_arenas(seed, count):
         aut, final = random_alternating_buchi(rng, max_states=6)
         t = random_regular_tree(rng, 8, aut.alphabet)
         states = csorted(aut.states)
-        arena = _membership_arena(aut, states, t)
+        arena = build_tree_game_arena(
+            states=states, eloise=aut.eloise, split_transitions=aut.transitions,
+            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
         for target in (final, frozenset(), aut.states):
             yield arena, state_ids(states, target, t)
 
