@@ -8,8 +8,9 @@ presentations of the same tree.
 
 Membership is decided on one encoding of that game, `_node_game`, with no
 coin vertices: Büchi with one bitmask of states per node for the region
-and each attractor (`buchi_node_region`), co-Büchi by enumerating her
-choice of row at each of her state vertices (`_node_moves`).
+and each attractor (`buchi_node_region`, on `nodegraph.attractor`),
+co-Büchi by enumerating her choice of row at each of her state vertices
+(`_node_moves`).
 
 The pebble arena of the file boundary and the reductions is an integer
 `games.Arena` with no weights, since the qualitative verdict reads only
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from qualtree import nodegraph
 from qualtree.automata import (
     BUCHI,
     AcceptanceCondition,
@@ -61,12 +63,10 @@ def _tree_index(states, initial_state, split_transitions, local_transitions, tre
                | {q for t in split_transitions for q in t[2:]}) - set(states)
     if unknown:
         raise ValueError(f"undeclared states: {' '.join(csorted(unknown))}")
-    nodes = tree.nodes
-    node_id = {n: i for i, n in enumerate(nodes)}
-    if tree.root not in node_id or not {*tree.succ0.values(), *tree.succ1.values()} <= node_id.keys():
+    nodes = set(tree.nodes)
+    if tree.root not in nodes or not {*tree.succ0.values(), *tree.succ1.values()} <= nodes:
         raise ValueError("the tree's root or a successor is not one of its nodes")
-    return ([tree.label[n] for n in nodes], [node_id[tree.succ0[n]] for n in nodes],
-            [node_id[tree.succ1[n]] for n in nodes], node_id[tree.root])
+    return nodegraph.tree_places(tree)
 
 
 def build_tree_game_arena(
@@ -170,10 +170,11 @@ def build_acceptance_game(
 
 
 def _node_game(a: AlternatingTreeAutomaton, states: Sequence[str], t: RegularTree) -> tuple:
-    """The pebble game on the tree's nodes, checked as `build_tree_game_arena`
-    checks it: per symbol id, the rows as triples of state bits (q, q0, q1),
-    bit rank(q) for q; and per node id, its symbol id, its left and right
-    child ids and its parents, the distinct nodes that have it as a child.
+    """The pebble game on the tree's nodes as a `nodegraph` node game,
+    checked as `build_tree_game_arena` checks it: per symbol id, the rows
+    as triples of state bits (q, q0, q1), bit rank(q) for q; and per node
+    id, its symbol id, its left and right child ids and its parents, the
+    distinct nodes that have it as a child.
     """
     labels, left, right, _ = _tree_index(states, a.initial, a.transitions, (), t)
     bit = {q: 1 << i for i, q in enumerate(states)}
@@ -187,55 +188,7 @@ def _node_game(a: AlternatingTreeAutomaton, states: Sequence[str], t: RegularTre
     for (q, s, q0, q1) in a.transitions:
         if q in bit and s in symbols:
             rows[symbols[s]].append((bit[q], bit[q0], bit[q1]))
-    parents: list = [[] for _ in labels]
-    for p, children in enumerate(zip(left, right)):
-        for c in set(children):
-            parents[c].append(p)
-    return rows, [symbols[s] for s in labels], left, right, parents
-
-
-def _node_attractor(game: tuple, region: list, base: list, mine: int) -> list:
-    """The attractor of `base` inside `region`, a state mask per node of the
-    `_node_game`, for the player whose states are the bits of `mine`.
-
-    A state of that player joins with some row that lies in the region and
-    hits the attractor, any other state once every row that lies in the
-    region does.  A worklist over nodes: each is evaluated at the start and
-    again when a child's mask grows.  An evaluation reads only the symbol
-    and the children's masks, so each distinct one is made once per call.
-    """
-    rows, sym, left, right, parents = game
-    joined = list(base)
-    work = list(range(len(joined)))
-    queued = bytearray(b"\x01") * len(joined)
-    ready_for: dict = {}
-    while work:
-        n = work.pop()
-        queued[n] = 0
-        todo = region[n] & ~joined[n]
-        if not todo:
-            continue
-        l, r = left[n], right[n]
-        key = (sym[n], region[l], region[r], joined[l], joined[r])
-        ready = ready_for.get(key)
-        if ready is None:
-            _, rl, rr, xl, xr = key
-            hit = miss = 0  # states with a row in the region that hits, that misses
-            for q, b0, b1 in rows[sym[n]]:
-                if b0 & rl and b1 & rr:
-                    if b0 & xl or b1 & xr:
-                        hit |= q
-                    else:
-                        miss |= q
-            ready = ready_for[key] = hit & mine | ~miss & ~mine
-        add = todo & ready
-        if add:
-            joined[n] |= add
-            for p in parents[n]:
-                if not queued[p]:
-                    queued[p] = 1
-                    work.append(p)
-    return joined
+    return rows, [symbols[s] for s in labels], left, right, nodegraph.parents(left, right)
 
 
 def buchi_node_region(
@@ -270,11 +223,11 @@ def buchi_node_region(
     goal = sum(1 << i for i, q in enumerate(states) if q in final)
     region = [(1 << len(states)) - 1] * len(t.nodes)
     while True:
-        won = _node_attractor(game, region, [goal & m for m in region], hers)
+        won = nodegraph.attractor(game, region, [goal & m for m in region], hers)
         missed = [m & ~w for m, w in zip(region, won)]
         if not any(missed):
             return region
-        lost = _node_attractor(game, region, missed, ~hers)
+        lost = nodegraph.attractor(game, region, missed, ~hers)
         region = [m & ~x for m, x in zip(region, lost)]
 
 

@@ -3,18 +3,24 @@
 An almost-sure verdict for a repeated-visit condition depends only on the
 chain's support graph: a finite chain enters some bottom strongly connected
 component with probability 1 and then visits every state of it infinitely
-often.  So the product chains of an automaton with a lasso word or a
-regular tree carry no weights.
+often (Courcoubetis and Yannakakis, JACM 1995).  Let Bad be the states that
+cannot reach a marked state.  Büchi holds almost surely iff no reachable
+state is in Bad, and co-Büchi iff every reachable state can reach Bad.
 
-Both products are built by one explorer, ``_product_chain``, over a graph
-of places: a tree's nodes, or a lasso's positions, where both children of
-position i are the next position.  With the automaton states ranked and
-the places numbered 0 .. |P| - 1, product state (q, p) is the integer
-rank(q)·|P| + p.  States are explored breadth-first from the initial one,
-which gets id 0; the others are numbered in the order they are found, and
-each keeps the ids of its row's support and a marked flag.  Exact weights
-stay where a number is the answer: finite-word acceptance probabilities
-are computed by exact forward propagation.
+The run chains of an automaton over a lasso word or a regular tree are
+decided that way on a `nodegraph` of places, with one state mask per
+place and no chain built.  A place is a tree node or a lasso position, and
+both children of position i are the next position.  A word row q → x is
+the row (q, x, x), and a tree row gives one row (q, q0, q1) per pair of its
+support.  Reachability is one forward walk from (initial, root), and "can
+reach" is `nodegraph.attractor` with every state existential.
+
+The product chains themselves (`word_chain` and `tree_chain`, explored by
+`_product_chain`) and their bottom SCCs (`bsccs`, `as_verdict`) are kept as
+the reference that the tests tie the verdicts to, and for the benchmark's
+tracer; no verdict reads them.  Exact weights stay where a number is the
+answer: finite-word acceptance probabilities are computed by exact forward
+propagation.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qualtree import nodegraph
 from qualtree.automata import (
     BUCHI,
     COBUCHI,
@@ -140,26 +147,73 @@ def acceptance_probability(a: ProbWordAutomaton, final: frozenset, u: tuple) -> 
     return sum((p for q, p in vec.items() if q in final), Fraction(0))
 
 
-def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> Chain:
-    """The run chain over w; its states are (automaton state, lasso position).
+def _place_verdict(a, final, labels, left, right, root, pairs, kind: str) -> bool:
+    """The almost-sure verdict of the run chain of ``a`` over a graph of
+    places, from (``a.initial``, place ``root``), on state masks.
 
-    Both children of position i are the next position, i + 1 or, at the end
-    of the lasso, the first position of its period.
+    Place ``p`` reads ``labels[p]`` and has the children ``left[p]`` and
+    ``right[p]``; ``pairs(d)`` lists the (q0, q1) of a transition row ``d``.
+    States get their bits in the order the rows name them, the initial
+    state first.  A reached state with no row for its place's symbol raises
+    the ``KeyError`` of ``a.dist``, as the chain builders do.
     """
+    symbols = {s: k for k, s in enumerate(dict.fromkeys(labels))}
+    bit = {a.initial: 1}
+
+    def b(q):
+        return bit.setdefault(q, 1 << len(bit))
+
+    rows: list = [[] for _ in symbols]
+    has = [0] * len(symbols)  # per symbol id, the states that have a row
+    for (q, s), d in a.delta.items():
+        k = symbols.get(s)
+        if k is not None:
+            has[k] |= b(q)
+            rows[k] += [(b(q), b(q0), b(q1)) for q0, q1 in pairs(d)]
+    sym = [symbols[s] for s in labels]
+    game = (rows, sym, left, right, nodegraph.parents(left, right))
+    start = [0] * len(sym)
+    start[root] = 1
+    reach = nodegraph.forward(game, start)
+    names = list(bit)
+    for n, m in enumerate(reach):
+        missing = m & ~has[sym[n]]
+        if missing:
+            a.dist(names[(missing & -missing).bit_length() - 1], labels[n])  # no row: raises
+    full = [(1 << len(bit)) - 1] * len(sym)
+    goal = sum(bit[q] for q in final if q in bit)
+    live = nodegraph.attractor(game, full, [goal] * len(sym), -1)
+    bad = [m & ~x for m, x in zip(reach, live)]
+    if kind == BUCHI:
+        return not any(bad)
+    if kind == COBUCHI:
+        return not any(m & ~x for m, x in zip(reach, nodegraph.attractor(game, full, bad, -1)))
+    raise ValueError(f"unknown condition kind {kind!r}")
+
+
+def _lasso_places(w: UltimatelyPeriodicWord) -> tuple:
+    """Labels, left and right children of the lasso positions, and the
+    first position: both children of position i are the next position,
+    i + 1 or, at the end of the lasso, the first position of its period."""
     k, n = len(w.prefix), len(w)
     nxt = [i + 1 for i in range(n - 1)] + [k]
+    return w.take(n), nxt, nxt, 0
+
+
+def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> Chain:
+    """The run chain over w; its states are (automaton state, lasso position)."""
 
     def split(q, symbol):
         targets = tuple(a.dist(q, symbol))
         return targets, targets
 
-    return _product_chain(a, final, list(range(n)), w.take(n), nxt, nxt, 0, split)
+    return _product_chain(a, final, list(range(len(w))), *_lasso_places(w), split)
 
 
 def lasso_membership_word(
     a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord, kind: str
 ) -> bool:
-    return as_verdict(word_chain(a, final, w), kind)
+    return _place_verdict(a, final, *_lasso_places(w), lambda d: ((x, x) for x in d), kind)
 
 
 def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> Chain:
@@ -169,19 +223,15 @@ def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> Chain:
     A split target (q0, q1) at node n leads to (q0, succ0[n]) and to
     (q1, succ1[n]).
     """
-    index = {v: i for i, v in enumerate(t.nodes)}
 
     def split(q, symbol):
         pairs = tuple(a.dist(q, symbol))
         return dict.fromkeys(q0 for q0, _ in pairs), dict.fromkeys(q1 for _, q1 in pairs)
 
-    return _product_chain(
-        a, final, t.nodes, [t.label[v] for v in t.nodes],
-        [index[t.succ0[v]] for v in t.nodes], [index[t.succ1[v]] for v in t.nodes],
-        index[t.root], split)
+    return _product_chain(a, final, t.nodes, *nodegraph.tree_places(t), split)
 
 
 def prob_tree_membership(
     a: ProbTreeAutomaton, final: frozenset, t: RegularTree, kind: str = COBUCHI
 ) -> bool:
-    return as_verdict(tree_chain(a, final, t), kind)
+    return _place_verdict(a, final, *nodegraph.tree_places(t), iter, kind)

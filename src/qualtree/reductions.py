@@ -13,7 +13,6 @@ malformed input and raises ``FormatError``.
 
 from __future__ import annotations
 
-from qualtree.acceptance import build_tree_game_arena, name_arena, state_vertex
 from qualtree.automata import (
     Alphabet,
     NonZeroAutomaton,
@@ -25,9 +24,7 @@ from qualtree.automata import (
 )
 from qualtree.dist import Distribution
 from qualtree.errors import FormatError
-from qualtree.games import StochasticArena
 from qualtree.ordering import csorted
-from qualtree.trees import RegularTree
 
 
 def _fresh(base: str, taken) -> str:
@@ -214,33 +211,3 @@ def to_nonzero(a: TreeAutomaton, final: frozenset) -> NonZeroAutomaton:
         f_one=a.states - final,
         f_pos=a.states,
     )
-
-
-def build_nonzero_arena(
-    b: NonZeroAutomaton, t: RegularTree
-) -> tuple[StochasticArena, dict]:
-    """Acceptance arena of the mixed-clause model over a regular tree.
-
-    Local transitions move between state vertices on the same node without
-    a random step; split transitions behave exactly as in the membership
-    game, so for purely split automata the arena coincides with it.  The
-    three clause sets come back as vertex markings.
-    """
-    states = csorted(b.states)
-    arena = name_arena(build_tree_game_arena(
-        states=states,
-        eloise=b.eloise,
-        split_transitions=b.split_transitions,
-        local_transitions=b.local_transitions,
-        initial_state=b.initial,
-        tree=t,
-    ), states, t)
-    marks = {
-        name: frozenset(state_vertex(q, n) for q in subset for n in t.nodes)
-        for name, subset in (
-            ("forall", b.f_forall),
-            ("one", b.f_one),
-            ("pos", b.f_pos),
-        )
-    }
-    return arena, marks

@@ -16,6 +16,7 @@ from fractions import Fraction
 from qualtree.automata import (
     Alphabet,
     AlternatingTreeAutomaton,
+    ProbTreeAutomaton,
     ProbWordAutomaton,
 )
 from qualtree.dist import Distribution
@@ -123,6 +124,37 @@ def random_lasso_word(
     return lasso(prefix, period)
 
 
+def random_split_automaton(rng: random.Random, n: int, alphabet: Alphabet) -> ProbTreeAutomaton:
+    """A probabilistic tree automaton on n states whose splits may send
+    different states to the two children, unlike the lifts of word automata."""
+    states = [f"q{i}" for i in range(n)]
+    pairs = [(q0, q1) for q0 in states for q1 in states]
+    delta = {}
+    for q in states:
+        for x in alphabet.symbols:
+            split = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+            weights = [rng.randint(1, 4) for _ in split]
+            delta[(q, x)] = Distribution(
+                {pair: Fraction(wt, sum(weights)) for pair, wt in zip(split, weights)}
+            )
+    return ProbTreeAutomaton(alphabet, frozenset(states), states[0], delta)
+
+
+def with_unreachable_nodes(rng: random.Random, t: RegularTree, alphabet: Alphabet,
+                           extra: int) -> RegularTree:
+    """t with its nodes listed in random order and `extra` nodes spliced in
+    among them that the root never reaches."""
+    nodes = rng.sample(t.nodes, len(t.nodes))
+    label, succ0, succ1 = dict(t.label), dict(t.succ0), dict(t.succ1)
+    for i in range(extra):
+        nodes.insert(rng.randint(0, len(nodes)), f"u{i}")
+    for i in range(extra):
+        label[f"u{i}"] = rng.choice(alphabet.symbols)
+        succ0[f"u{i}"] = rng.choice(nodes)
+        succ1[f"u{i}"] = rng.choice(nodes)
+    return RegularTree(tuple(nodes), t.root, label, succ0, succ1)
+
+
 def random_arena(rng: random.Random, max_vertices: int = 7) -> StochasticArena:
     n = rng.randint(2, max_vertices)
     vs = [f"v{i}" for i in range(n)]
@@ -150,31 +182,6 @@ def random_arena(rng: random.Random, max_vertices: int = 7) -> StochasticArena:
 def random_target(rng: random.Random, g: StochasticArena) -> frozenset:
     vs = csorted(g.vertices)
     return frozenset(rng.sample(vs, rng.randint(0, len(vs))))
-
-
-def random_imperfect_arena(
-    rng: random.Random, max_vertices: int = 5, max_actions: int = 3
-):
-    """Small partial-observation arena plus a target set, oracle-tractable."""
-    n = rng.randint(1, max_vertices)
-    vs = [f"v{i}" for i in range(n)]
-    actions = tuple(f"a{i}" for i in range(rng.randint(1, max_actions)))
-    n_classes = rng.randint(1, n)
-    obs = {v: f"o{rng.randrange(n_classes)}" for v in vs}
-    trans = {}
-    for v in vs:
-        for a in actions:
-            k = rng.choice([1, 1, 2])
-            supports: dict = {}  # vertex set -> the first support drawn with it
-            for _ in range(k):
-                support = tuple(rng.sample(vs, rng.randint(1, min(2, n))))
-                supports.setdefault(frozenset(support), support)
-            trans[(v, a)] = tuple(supports.values())
-    arena = ImperfectInfoArena(
-        vertices=tuple(vs), initial=vs[0], actions=actions, trans=trans, obs=obs
-    )
-    target = frozenset(rng.sample(vs, rng.randint(0, n)))
-    return arena, target
 
 
 @dataclass(frozen=True)
@@ -220,28 +227,6 @@ def emptiness_crosscheck(seed: int, count: int, max_states: int) -> list[SuiteRe
     return records
 
 
-def random_tree_automaton(rng: random.Random, max_states: int, alphabet: Alphabet):
-    """Complete split-transition automaton with all states universal."""
-    from qualtree.automata import TreeAutomaton
-
-    n = rng.randint(1, max_states)
-    states = [f"q{i}" for i in range(n)]
-    transitions = set()
-    for q in states:
-        for s in alphabet:
-            for _ in range(rng.choice([1, 1, 2, 3])):
-                transitions.add((q, s, rng.choice(states), rng.choice(states)))
-    final = frozenset(q for q in states if rng.random() < 0.5)
-    aut = TreeAutomaton(
-        alphabet=alphabet,
-        states=frozenset(states),
-        initial="q0",
-        transitions=frozenset(transitions),
-        complete=True,
-    )
-    return aut, final
-
-
 def with_memory_bit(g: ImperfectInfoArena, target) -> tuple[ImperfectInfoArena, frozenset]:
     """`g` with one extra bit of memory built into the arena.
 
@@ -271,22 +256,3 @@ def with_memory_bit(g: ImperfectInfoArena, target) -> tuple[ImperfectInfoArena, 
         obs={(v, bit): (g.obs[v], bit) for v, bit in vertices},
     )
     return arena, frozenset((v, bit) for v in target for bit in (0, 1))
-
-
-def bit_enrichment_scan(seed: int, count: int) -> list[SuiteRecord]:
-    """Investigation: compare knowledge-set memory with one extra bit on
-    micro instances, both by the blunt enumeration, the second on the
-    `with_memory_bit` product; any verdict flip is surfaced."""
-    rng = random.Random(seed)
-    records = []
-    for i in range(count):
-        aut, final = random_alternating_buchi(rng, max_states=2, max_symbols=2)
-        game, target = build_emptiness_game(aut, final)
-        plain, _ = solve_by_enumeration(game, target)
-        enriched, _ = solve_by_enumeration(*with_memory_bit(game, target))
-        agree = plain == enriched
-        records.append(
-            SuiteRecord(i, "nonempty" if plain else "empty", agree, None,
-                        f"bit-enriched={'nonempty' if enriched else 'empty'}")
-        )
-    return records

@@ -20,6 +20,8 @@ and ``random_mdp_arena``, the random controller arenas of their tests.
 the oracle of ``games.almost_sure_cobuchi``, and ``state_ids`` numbers a
 state set on the pebble arena of ``acceptance.build_tree_game_arena``, on
 which co-Büchi membership was decided before it moved to the node game.
+``build_nonzero_arena`` names the arena of the mixed-clause model, which
+no solver decides, for the tests of the ordered embedding.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from qualtree.acceptance import build_tree_game_arena, name_arena, state_vertex
+from qualtree.automata import NonZeroAutomaton
 from qualtree.dist import Distribution
 from qualtree.errors import ResourceLimit
 from qualtree.games import (
@@ -47,6 +51,7 @@ from qualtree.games import (
 )
 from qualtree.ordering import csorted
 from qualtree.suite import random_arena
+from qualtree.trees import RegularTree
 
 
 def named_full_information_arena(g, target: frozenset):
@@ -371,3 +376,33 @@ def random_mdp_arena(rng: random.Random, max_vertices: int = 6) -> StochasticAre
         dist=g.dist,
         initial=g.initial,
     )
+
+
+def build_nonzero_arena(
+    b: NonZeroAutomaton, t: RegularTree
+) -> tuple[StochasticArena, dict]:
+    """Acceptance arena of the mixed-clause model over a regular tree.
+
+    Local transitions move between state vertices on the same node without
+    a random step; split transitions behave exactly as in the membership
+    game, so for purely split automata the arena coincides with it.  The
+    three clause sets come back as vertex markings.
+    """
+    states = csorted(b.states)
+    arena = name_arena(build_tree_game_arena(
+        states=states,
+        eloise=b.eloise,
+        split_transitions=b.split_transitions,
+        local_transitions=b.local_transitions,
+        initial_state=b.initial,
+        tree=t,
+    ), states, t)
+    marks = {
+        name: frozenset(state_vertex(q, n) for q in subset for n in t.nodes)
+        for name, subset in (
+            ("forall", b.f_forall),
+            ("one", b.f_one),
+            ("pos", b.f_pos),
+        )
+    }
+    return arena, marks

@@ -25,7 +25,6 @@ from qualtree.games import almost_sure_buchi, almost_sure_reach, number
 from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
 from qualtree.markov import acceptance_probability, lasso_membership_word
 from qualtree.reductions import (
-    build_nonzero_arena,
     lift_diagonal,
     lift_swap,
     to_nonzero,
@@ -39,10 +38,11 @@ from qualtree.suite import (
     random_regular_tree,
     random_simple_pwa,
     random_target,
-    random_tree_automaton,
 )
-from qualtree.trees import lasso, sampled_branch_lasso, tree_from_word
-from arena_oracles import buchi_to_reachability
+from qualtree.trees import lasso, tree_from_word
+from arena_oracles import buchi_to_reachability, build_nonzero_arena
+from branches import sampled_branch_lasso
+from draws import random_tree_automaton
 from weighted_chains import weighted_tree_chain
 
 AB = Alphabet(("a", "b"))

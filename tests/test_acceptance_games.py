@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from qualtree import acceptance, games
+from qualtree import acceptance, games, nodegraph
 from qualtree.acceptance import (
-    _node_attractor,
     _node_game,
     build_acceptance_game,
     build_tree_game_arena,
@@ -42,10 +41,10 @@ from qualtree.games import (
 )
 from qualtree.markov import prob_tree_membership
 from qualtree.ordering import csorted
-from qualtree.reductions import build_nonzero_arena, lift_swap, universalize
+from qualtree.reductions import lift_swap, universalize
 from qualtree.suite import random_alternating_buchi, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
-from arena_oracles import _enumerated_cobuchi, state_ids
+from arena_oracles import _enumerated_cobuchi, build_nonzero_arena, state_ids
 
 A_ONLY = Alphabet(("a",))
 
@@ -389,13 +388,13 @@ def test_node_region_is_the_arena_cores_region(monkeypatch):
         partial += _tie_node_region_to_the_core(aut, final, t)
     assert partial >= 100
 
-    attractor, calls = acceptance._node_attractor, [0]
+    attractor, calls = nodegraph.attractor, [0]
 
     def counted(*args):
         calls[0] += 1
         return attractor(*args)
 
-    monkeypatch.setattr(acceptance, "_node_attractor", counted)
+    monkeypatch.setattr(nodegraph, "attractor", counted)
     rng = random.Random(3)
     rounds = 0
     for _ in range(2_000):
@@ -406,7 +405,7 @@ def test_node_region_is_the_arena_cores_region(monkeypatch):
 
 
 def test_node_attractor_is_the_arena_attractor():
-    """On random regions and bases, escape-proof or not, `_node_attractor`
+    """On random regions and bases, escape-proof or not, `nodegraph.attractor`
     joins exactly the state vertices that `games._attractor` joins on the
     pebble arena, whose region holds those state vertices and the coins
     whose children both lie in it."""
@@ -435,7 +434,7 @@ def test_node_attractor_is_the_arena_attractor():
         for mine, code in ((hers, OWN_ELOISE), (~hers, OWN_ABELARD)):
             attracts = bytes(o in (code, OWN_RANDOM) for o in arena.owner)
             step = _attractor(pred, bytearray(inside), ids, attracts, left.copy())
-            joined = _node_attractor(_node_game(aut, states, t), region, base, mine)
+            joined = nodegraph.attractor(_node_game(aut, states, t), region, base, mine)
             assert _mask_ids(joined, width) == {v for v in range(k * width) if step[v] >= 0}
     assert vacuous > 100
 

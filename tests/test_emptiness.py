@@ -53,10 +53,10 @@ from qualtree.gallery import (
 )
 from qualtree.suite import (
     random_alternating_buchi,
-    random_imperfect_arena,
     random_regular_tree,
 )
 from arena_oracles import _as_buchi_core as set_as_buchi_core, named_full_information_arena
+from draws import random_imperfect_arena
 from search_oracles import closed_tables_by_walk, whole_product_refuter
 
 

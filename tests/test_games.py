@@ -43,7 +43,6 @@ from qualtree.ordering import ckey, csorted
 from qualtree.suite import (
     random_alternating_buchi,
     random_arena,
-    random_imperfect_arena,
     random_regular_tree,
     random_target,
 )
@@ -61,6 +60,7 @@ from arena_oracles import (
     view_of_mdp,
     with_initial,
 )
+from draws import random_imperfect_arena
 from weighted_chains import as_markov_chain, named_bottoms, support_chain
 
 

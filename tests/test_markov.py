@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qualtree.automata import Alphabet, ProbTreeAutomaton
+from qualtree.automata import BUCHI, COBUCHI, Alphabet, ProbTreeAutomaton
 from qualtree.dist import Distribution
 from qualtree.markov import (
     acceptance_probability,
@@ -17,7 +18,13 @@ from qualtree.markov import (
     word_chain,
 )
 from qualtree.reductions import lift_diagonal, lift_swap, sharps_automaton
-from qualtree.suite import random_lasso_word, random_regular_tree, random_simple_pwa
+from qualtree.suite import (
+    random_lasso_word,
+    random_regular_tree,
+    random_simple_pwa,
+    random_split_automaton,
+    with_unreachable_nodes,
+)
 from qualtree.trees import RegularTree, lasso, tree_from_word
 from weighted_chains import (
     MarkovChain,
@@ -269,7 +276,7 @@ def test_product_verdicts_match_exact_marked_bottom_probability():
             for lift in (lift_diagonal, lift_swap):
                 c = lift(a)
                 cases.append((weighted_tree_chain(c, final, x), tree_chain(c, final, x)))
-        b = _random_split_automaton(split_rng, 3, sigma)
+        b = random_split_automaton(split_rng, 3, sigma)
         b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
         cases.append((weighted_tree_chain(b, b_final, t), tree_chain(b, b_final, t)))
         for m, chain in cases:
@@ -290,36 +297,6 @@ def test_lift_product_chains_are_equal_graphs():
         assert named(tree_chain(diagonal, final, t)) == named(tree_chain(swap, final, t))
 
 
-def _with_unreachable_nodes(rng, t, sigma, extra):
-    """t with its nodes listed in random order and `extra` nodes spliced in
-    among them that the root never reaches."""
-    nodes = rng.sample(t.nodes, len(t.nodes))
-    label, succ0, succ1 = dict(t.label), dict(t.succ0), dict(t.succ1)
-    for i in range(extra):
-        nodes.insert(rng.randint(0, len(nodes)), f"u{i}")
-    for i in range(extra):
-        label[f"u{i}"] = rng.choice(sigma.symbols)
-        succ0[f"u{i}"] = rng.choice(nodes)
-        succ1[f"u{i}"] = rng.choice(nodes)
-    return RegularTree(tuple(nodes), t.root, label, succ0, succ1)
-
-
-def _random_split_automaton(rng, n, sigma):
-    """A probabilistic tree automaton whose splits may send different states
-    to the two children, unlike the lifts of word automata."""
-    states = [f"q{i}" for i in range(n)]
-    pairs = [(q0, q1) for q0 in states for q1 in states]
-    delta = {}
-    for q in states:
-        for x in sigma.symbols:
-            split = rng.sample(pairs, rng.randint(1, 3))
-            weights = [rng.randint(1, 4) for _ in split]
-            delta[(q, x)] = Distribution(
-                {pair: Fraction(wt, sum(weights)) for pair, wt in zip(split, weights)}
-            )
-    return ProbTreeAutomaton(sigma, frozenset(states), states[0], delta)
-
-
 def test_chain_builders_match_full_product_oracle():
     rng = random.Random(31)
     split_rng = random.Random(37)
@@ -328,11 +305,11 @@ def test_chain_builders_match_full_product_oracle():
         a = random_simple_pwa(rng, 5, sigma)
         final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
         w = random_lasso_word(rng, sigma, 4, 5)
-        t = _with_unreachable_nodes(rng, random_regular_tree(rng, 8, sigma), sigma, 3)
+        t = with_unreachable_nodes(rng, random_regular_tree(rng, 8, sigma), sigma, 3)
         pairs = [(word_chain(a, final, w), full_word_chain(a, final, w))]
         for lift in (lift_diagonal, lift_swap):
             pairs.append((tree_chain(lift(a), final, t), full_tree_chain(lift(a), final, t)))
-        b = _random_split_automaton(split_rng, 4, sigma)
+        b = random_split_automaton(split_rng, 4, sigma)
         b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
         pairs.append((tree_chain(b, b_final, t), full_tree_chain(b, b_final, t)))
         for fast, full in pairs:
@@ -346,10 +323,11 @@ def test_chain_builders_match_full_product_oracle():
             assert as_verdict(fast, "cobuchi") == (not any(c & full.marked for c in bottoms))
 
 
-def _built(build, a, final, x):
-    """The chain, or the message of the missing-row error that stopped it."""
+def _built(build, *args):
+    """The chain or verdict, or the message of the missing-row error that
+    stopped it."""
     try:
-        return build(a, final, x)
+        return build(*args)
     except KeyError as e:
         return str(e)
 
@@ -373,8 +351,8 @@ def test_chain_builders_equal_tuple_keyed_builders():
         final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
         w = random_lasso_word(rng, sigma, 4, 5)
         plain = random_regular_tree(rng, 8, sigma)
-        shuffled = _with_unreachable_nodes(rng, plain, sigma, 3)
-        b = _random_split_automaton(split_rng, 4, sigma)
+        shuffled = with_unreachable_nodes(rng, plain, sigma, 3)
+        b = random_split_automaton(split_rng, 4, sigma)
         b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
         cases = [(word_chain, tuple_word_chain, a, final, w)]
         for t in (plain, shuffled, tree_from_word(w)):
@@ -388,6 +366,91 @@ def test_chain_builders_equal_tuple_keyed_builders():
             assert chain.marked == expected.marked
             broken = _without_a_row(rng, aut)
             assert _built(fast, broken, marked, x) == _built(oracle, broken, marked, x)
+
+
+def _reference(build):
+    """The verdict from the bottom SCCs of the chain that `build` makes."""
+    return lambda a, final, x, kind: as_verdict(build(a, final, x), kind)
+
+
+def _fork(rng, depth, sigma):
+    """The finite binary tree of the given depth, randomly labelled, whose
+    leaves loop on themselves."""
+    nodes, label, succ0, succ1 = [], {}, {}, {}
+
+    def grow(d):
+        v = f"n{len(nodes)}"
+        nodes.append(v)
+        label[v] = rng.choice(sigma.symbols)
+        succ0[v], succ1[v] = (grow(d - 1), grow(d - 1)) if d else (v, v)
+        return v
+
+    grow(depth)
+    return RegularTree(tuple(nodes), nodes[0], label, succ0, succ1)
+
+
+def _sticky_split_automaton(rng, n, sigma):
+    """A split automaton with one pair per row, which keeps its state on
+    both children half the time.  Runs that part at a node and then stay
+    apart make verdicts depend on which child is which; the random split
+    automata almost never do."""
+    states = [f"q{i}" for i in range(n)]
+    delta = {(q, x): Distribution.point((q, q) if rng.random() < 0.5
+                                        else (rng.choice(states), rng.choice(states)))
+             for q in states for x in sigma.symbols}
+    return ProbTreeAutomaton(sigma, frozenset(states), states[0], delta)
+
+
+def test_mask_verdicts_equal_reference_chain_verdicts():
+    """`lasso_membership_word` and `prob_tree_membership` decide on state
+    masks, with no chain built.  Their verdicts must be those of the
+    reference chains' bottom SCCs, under both conditions: on lasso words, on
+    both lifts, and on split automata, over trees with unreachable nodes
+    and over word trees.  With one transition row removed, both must stop
+    with the same missing-row error, or neither.  Sticky split automata on
+    forks, and on the forks' mirror images, check that the two children are
+    not confused: at least 10 of those draws have a verdict that mirroring
+    the fork changes."""
+    rng = random.Random(47)
+    split_rng = random.Random(53)
+    sigma = Alphabet(("a", "b"))
+    seen, stopped = collections.Counter(), collections.Counter()
+    cases = []
+    for _ in range(150):
+        a = random_simple_pwa(rng, 5, sigma)
+        final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
+        w = random_lasso_word(rng, sigma, 4, 5)
+        t = with_unreachable_nodes(rng, random_regular_tree(rng, 8, sigma), sigma, 3)
+        b = random_split_automaton(split_rng, 4, sigma)
+        b_final = frozenset(q for q in sorted(b.states) if split_rng.random() < 0.5)
+        cases.append((lasso_membership_word, word_chain, a, final, w))
+        for x in (t, tree_from_word(w)):
+            for lift in (lift_diagonal, lift_swap):
+                cases.append((prob_tree_membership, tree_chain, lift(a), final, x))
+            cases.append((prob_tree_membership, tree_chain, b, b_final, x))
+    mirrored = 0
+    for _ in range(400):
+        c = _sticky_split_automaton(rng, 4, sigma)
+        c_final = frozenset(q for q in sorted(c.states) if rng.random() < 0.5)
+        t = with_unreachable_nodes(rng, _fork(rng, rng.randint(1, 2), sigma), sigma, 2)
+        mirror = RegularTree(t.nodes, t.root, t.label, t.succ1, t.succ0)
+        for x in (t, mirror):
+            cases.append((prob_tree_membership, tree_chain, c, c_final, x))
+        mirrored += any(as_verdict(tree_chain(c, c_final, t), kind)
+                        != as_verdict(tree_chain(c, c_final, mirror), kind)
+                        for kind in (BUCHI, COBUCHI))
+    for decide, build, aut, marked, x in cases:
+        broken = _without_a_row(rng, aut)
+        for kind in (BUCHI, COBUCHI):
+            verdict = decide(aut, marked, x, kind)
+            assert verdict == as_verdict(build(aut, marked, x), kind)
+            got = _built(decide, broken, marked, x, kind)
+            assert got == _built(_reference(build), broken, marked, x, kind)
+            seen[kind, verdict] += 1
+            stopped[isinstance(got, str)] += 1
+    assert mirrored >= 10
+    assert len(seen) == 4 and min(seen.values()) >= 200
+    assert min(stopped.values()) >= 200
 
 
 def test_qualitative_verdicts_depend_only_on_support():

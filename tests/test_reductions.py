@@ -14,7 +14,6 @@ from qualtree.automata import (
 from qualtree.dist import Distribution
 from qualtree.markov import lasso_membership_word
 from qualtree.reductions import (
-    build_nonzero_arena,
     lift_diagonal,
     lift_swap,
     sharp_gadget,
@@ -25,6 +24,7 @@ from qualtree.reductions import (
 )
 from qualtree.suite import random_regular_tree, random_simple_pwa
 from qualtree.trees import lasso
+from arena_oracles import build_nonzero_arena
 
 AB = Alphabet(("a", "b"))
 SEP = "s"

@@ -5,15 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from qualtree.trees import (
     RegularTree,
-    branch_word,
     canonical_lasso,
-    is_direction_oblivious,
     lasso,
     sample_branch,
-    sampled_branch_lasso,
     tree_from_word,
     validate_tree,
 )
+from branches import branch_word, is_direction_oblivious, sampled_branch_lasso
 
 symbols = st.sampled_from(["a", "b", "s"])
 words = st.tuples(

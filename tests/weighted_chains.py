@@ -1,12 +1,14 @@
 """Weighted Markov chains and reference chain builders for the tests.
 
-``qualtree.markov`` decides chains from their support graphs alone.  The
-tests keep the weighted chains that it no longer builds: the full products
-are oracles for the explored support chains, their weights are checked to
-stay exact, and simulations sample runs from them.  They also keep a
-generic explorer over hashable states, and with it product builders keyed
-by (state, place) tuples, against which the integer-keyed builders of
-``qualtree.markov`` must give equal chains, id for id.
+``qualtree.markov`` decides chains from their support graphs alone, on
+state masks, and keeps its support chains only as the reference that the
+tests tie those verdicts to.  The tests keep the weighted chains that it
+no longer builds: the full products are oracles for the explored support
+chains, their weights are checked to stay exact, and simulations sample
+runs from them.  They also keep a generic explorer over hashable states,
+and with it product builders keyed by (state, place) tuples, against which
+the integer-keyed builders of ``qualtree.markov`` must give equal chains,
+id for id.
 """
 
 from __future__ import annotations
