@@ -1,35 +1,69 @@
 #!/usr/bin/env python3
 """Tie membership on the node game to the pebble arena it replaced.
 
-For each seeded `random_alternating_buchi` draw (1 to 3 symbols) and
-`random_regular_tree` of up to MAX_NODES nodes, `buchi_node_region` must
-hold exactly the state vertices of the region that `games._as_buchi_core`
-finds on the arena of `build_tree_game_arena`.  Co-Büchi membership, which
-enumerates her rows of the node game, must give the verdict of
-`games.almost_sure_cobuchi` on the arena's moves, on every draw with at
-most COBUCHI_STRATEGIES positional strategies (the others are counted, not
-decided, to keep a run short).  The draw's automaton is then checked for
+For each seeded draw and `random_regular_tree` of up to MAX_NODES nodes,
+`buchi_node_region` must hold exactly the state vertices of the region that
+`games._as_buchi_core` finds on the arena of `build_tree_game_arena`.  Three
+draws in four are `random_alternating_buchi` draws (1 to 3 symbols); every
+fourth is a `label_checks` draw, whose co-Büchi verdict can depend on which
+child a row sends each state to.  Co-Büchi membership, the fixed point of
+`games.almost_sure_cobuchi` on the node game's rows, must give the verdict
+of the same fixed point on the arena's moves, on every draw with at most
+COBUCHI_STRATEGIES positional strategies (the others are counted, not
+decided, to keep a run short).  It must also give the verdict of
+`game_oracles.oracle_almost_sure_cobuchi` on the named arena of
+`build_acceptance_game`, when that arena's vertices times her strategies
+are at most ORACLE_WORK: the oracle tries every strategy from every vertex.
+A `random_alternating_buchi` draw's automaton is then checked for
 emptiness, and a witness tree of a non-empty verdict is decided again
-through the arena route, which must accept it.  Each disagreement is
-printed on its own line, and any makes the exit code 4.
+through the arena route, which must accept it.  (The emptiness search has
+no work bound, and some `label_checks` draws run it for minutes.)  Each disagreement is printed on its own line, and any makes
+the exit code 4.
 
 Usage: python scripts/membership_probe.py [SEED] [COUNT] [MAX_STATES] [MAX_NODES]
 """
 
+import dataclasses
 import math
 import random
 import sys
 import time
 
-from qualtree.acceptance import build_tree_game_arena, buchi_node_region, qualitative_membership
+from qualtree.acceptance import (
+    build_acceptance_game,
+    build_tree_game_arena,
+    buchi_node_region,
+    qualitative_membership,
+)
 from qualtree.automata import cobuchi
 from qualtree.emptiness import check_emptiness
 from qualtree.errors import DisagreementError
+from qualtree.game_oracles import oracle_almost_sure_cobuchi
 from qualtree.games import _as_buchi_core, almost_sure_cobuchi, arena_moves
 from qualtree.ordering import csorted
 from qualtree.suite import random_alternating_buchi, random_regular_tree
 
 COBUCHI_STRATEGIES = 2**8
+ORACLE_WORK = 2**9
+
+
+def label_checks(rng, max_states):
+    """A `random_alternating_buchi` draw over {a, b} whose co-Büchi verdict
+    can depend on which child a row sends each state to.  His states ka and
+    kb go to the safe loop ok at a node labelled a and b respectively, and
+    to the accepting loop bad at the other label; each of her states gets,
+    per symbol, the row (ka, kb) or (kb, ka)."""
+    aut, final = random_alternating_buchi(rng, max_states, max_symbols=2)
+    while len(aut.alphabet.symbols) < 2:
+        aut, final = random_alternating_buchi(rng, max_states, max_symbols=2)
+    rows = {("ka", "a", "ok", "ok"), ("ka", "b", "bad", "bad"),
+            ("kb", "b", "ok", "ok"), ("kb", "a", "bad", "bad")}
+    rows |= {(q, s, q, q) for q in ("ok", "bad") for s in "ab"}
+    rows |= {(q, s, *rng.choice([("ka", "kb"), ("kb", "ka")])) for q in aut.eloise for s in "ab"}
+    checkers = frozenset({"ka", "kb", "ok", "bad"})
+    return dataclasses.replace(
+        aut, states=aut.states | checkers, transitions=aut.transitions | rows,
+        abelard=aut.abelard | checkers), final | {"bad"}
 
 
 def pebble_arena(aut, states, final, t) -> tuple:
@@ -64,9 +98,13 @@ def main() -> int:
 
     rng = random.Random(seed)
     t0 = time.monotonic()
-    partial = witnesses = bad = tied = 0
+    partial = witnesses = bad = tied = oracle_tied = 0
     for i in range(count):
-        aut, final = random_alternating_buchi(rng, max_states, max_symbols=3)
+        labelled = i % 4 == 3
+        if labelled:
+            aut, final = label_checks(rng, max_states)
+        else:
+            aut, final = random_alternating_buchi(rng, max_states, max_symbols=3)
         t = random_regular_tree(rng, max_nodes, aut.alphabet)
         states = csorted(aut.states)
         want = arena_region(aut, states, final, t)
@@ -75,12 +113,23 @@ def main() -> int:
             bad += 1
         partial += 0 < len(want) < len(states) * len(t.nodes)
         arena, goal = pebble_arena(aut, states, final, t)
-        if math.prod(len(arena.succ[v]) for v in arena.eloise) <= COBUCHI_STRATEGIES:
+        strategies = math.prod(len(arena.succ[v]) for v in arena.eloise)
+        if strategies <= COBUCHI_STRATEGIES:
             tied += 1
-            if qualitative_membership(aut, cobuchi(final), t) != almost_sure_cobuchi(
-                    arena_moves(arena), arena.eloise, arena.initial, goal):
+            verdict = qualitative_membership(aut, cobuchi(final), t)
+            if verdict != almost_sure_cobuchi(arena_moves(arena), arena.eloise, arena.initial, goal):
                 print(f"draw {i}: the node game and the arena give different co-Büchi verdicts")
                 bad += 1
+            game = build_acceptance_game(aut, final, t)
+            if len(game.arena.edges) * strategies <= ORACLE_WORK:
+                oracle_tied += 1
+                if verdict != (game.arena.initial in oracle_almost_sure_cobuchi(
+                        game.arena, game.target)):
+                    print(f"draw {i}: the node game and the enumeration oracle give different "
+                          "co-Büchi verdicts")
+                    bad += 1
+        if labelled:
+            continue
         try:
             result = check_emptiness(aut, final)
         except DisagreementError as e:
@@ -96,7 +145,7 @@ def main() -> int:
                 bad += 1
     elapsed = time.monotonic() - t0
     print(f"{count} draws in {elapsed:.1f}s: {partial} partial regions, "
-          f"{tied} co-Büchi verdicts tied, "
+          f"{tied} co-Büchi verdicts tied, {oracle_tied} of them to the oracle, "
           f"{witnesses} witness trees re-decided, {bad} disagreements")
     return 0 if not bad else 4
 

@@ -9,8 +9,8 @@ presentations of the same tree.
 Membership is decided on one encoding of that game, `_node_game`, with no
 coin vertices: Büchi with one bitmask of states per node for the region
 and each attractor (`buchi_node_region`, on `nodegraph.attractor`),
-co-Büchi by enumerating her choice of row at each of her state vertices
-(`_node_moves`).
+co-Büchi by the nested fixed point of `games.almost_sure_cobuchi` on the
+rows of each state vertex (`_node_moves`).
 
 The pebble arena of the file boundary and the reductions is an integer
 `games.Arena` with no weights, since the qualitative verdict reads only

@@ -45,6 +45,7 @@ from qualtree.reductions import lift_swap, universalize
 from qualtree.suite import random_alternating_buchi, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
 from arena_oracles import _enumerated_cobuchi, build_nonzero_arena, state_ids
+from draws import layered_buchi, mirrored
 
 A_ONLY = Alphabet(("a",))
 
@@ -322,46 +323,6 @@ def _mask_ids(masks, width) -> frozenset:
                      for r in range(m.bit_length()) if m >> r & 1)
 
 
-def layered_buchi(rng: random.Random) -> tuple:
-    """An alternating Büchi automaton over {a, b} whose almost-sure region
-    loses one layer of states per round of the fixed point, and a random
-    tree of up to 6 nodes; returns (automaton, accepting states, tree).
-
-    Her states t and f are accepting: t loops, f moves to h1 or to the trap
-    z, his non-accepting loop.  Layer i has her state h_i, with a coin row
-    to t and h_{i-1} (h_0 is z), in either order, or a row to his state
-    g_i, which moves back to h_i.  Round 1 removes z, and round i + 1 the
-    layer h_i, g_i whose coin lost its other child in round i; f goes once
-    its every row inside the region leads out of it.  Per symbol, a layer
-    state may also get a row to (t, t), which wins at the nodes so
-    labelled only, and any state a random row, so regions differ from node
-    to node.  About half the draws, of one to four layers, take three to
-    six rounds; the winning and random rows end the others sooner.
-    """
-    layers = rng.randint(1, 4)
-    sigma = Alphabet(("a", "b"))
-    h = ["z"] + [f"h{i}" for i in range(1, layers + 1)]
-    g = [None] + [f"g{i}" for i in range(1, layers + 1)]
-    states = ["t", "f", *h, *g[1:]]
-    eloise = frozenset(["t", "f", *h[1:]])
-    rows = set()
-    for s in sigma:
-        rows |= {("t", s, "t", "t"), ("z", s, "z", "z"), ("f", s, "h1", "h1"), ("f", s, "z", "z")}
-        for i in range(1, layers + 1):
-            coin = ("t", h[i - 1]) if rng.random() < 0.5 else (h[i - 1], "t")
-            rows |= {(h[i], s, *coin), (h[i], s, g[i], g[i]), (g[i], s, h[i], h[i])}
-            if rng.random() < 0.3:
-                rows.add((h[i], s, "t", "t"))
-        for q in states:
-            if rng.random() < 0.1:
-                rows.add((q, s, rng.choice(states), rng.choice(states)))
-    aut = AlternatingTreeAutomaton(
-        alphabet=sigma, states=frozenset(states), initial=rng.choice(states),
-        transitions=frozenset(rows), complete=True, eloise=eloise,
-        abelard=frozenset(states) - eloise)
-    return aut, frozenset({"t", "f"}), random_regular_tree(rng, 6, sigma)
-
-
 def _tie_node_region_to_the_core(aut, final, t) -> bool:
     """The node masks hold exactly the state vertices of the core's region
     on the pebble arena; returns whether that region is partial."""
@@ -517,22 +478,15 @@ def test_buchi_route_raises_the_builders_errors():
 # ---------------------------------------------------------------------------
 
 
-def _mirrored(rng, aut):
-    """The automaton with the row (q, a, y, x) added, at random, to her
-    rows (q, a, x, y) with x ≠ y."""
-    extra = {(q, s, y, x) for (q, s, x, y) in aut.transitions
-             if q in aut.eloise and x != y and rng.random() < 0.5}
-    return dataclasses.replace(aut, transitions=aut.transitions | extra)
-
-
 def test_cobuchi_node_rows_are_the_arena_coins(monkeypatch):
     """1,200 draws: random ones, with her rows mirrored on every second one,
-    and layered ones.  Co-Büchi membership hands the enumeration the node
-    game's rows, which must be the arena's coins: at each state vertex the
-    coins' supports, in the arena's order, so her move count, the
-    strategies tried and their order are the arena's.  Under a small
-    choice bound, membership, the enumeration on the arena's moves and the
-    named enumeration oracle refuse the same draws and agree on the rest."""
+    and layered ones.  Co-Büchi membership hands `games.almost_sure_cobuchi`
+    the node game's rows, which must be the arena's coins: at each state
+    vertex the coins' supports, in the arena's order, so her move count,
+    and with it the choice bound's refusals, are the arena's.  Under a
+    small choice bound, membership, the fixed point on the arena's moves
+    and the named enumeration oracle refuse the same draws and agree on
+    the rest."""
     bound = 64
     calls = []
 
@@ -556,7 +510,7 @@ def test_cobuchi_node_rows_are_the_arena_coins(monkeypatch):
         else:
             aut, final = random_alternating_buchi(rng, max_states=4)
             if i % 2:
-                aut = _mirrored(rng, aut)
+                aut = mirrored(rng, aut)
             t = random_regular_tree(rng, 5, aut.alphabet)
         states = csorted(aut.states)
         arena, goal = _arena(aut, states, t), state_ids(states, final, t)

@@ -1,14 +1,17 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qualtree import acceptance
 from qualtree.acceptance import (
     build_acceptance_game,
     build_tree_game_arena,
     qualitative_membership,
+    state_vertex,
 )
 from qualtree.automata import cobuchi
 from qualtree.dist import Distribution
@@ -60,7 +63,7 @@ from arena_oracles import (
     view_of_mdp,
     with_initial,
 )
-from draws import random_imperfect_arena
+from draws import layered_buchi, mirrored, random_imperfect_arena
 from weighted_chains import as_markov_chain, named_bottoms, support_chain
 
 
@@ -485,6 +488,34 @@ def test_almost_sure_cobuchi_trivial_cases():
     assert not cobuchi_on_names(g, frozenset({"v"}))
 
 
+def test_almost_sure_cobuchi_wins_where_simpler_formulas_lose():
+    """His vertex v in C loops, or steps to the target t.  From t the play
+    goes to the safe sink s, so she wins at v, where no sure-safe set is
+    reached: the one-level νX. ASReach_X(Safe_X(C)) says lost.  In the
+    second game his other move is a coin to t or s, and t leads back to v:
+    she wins at v again, where the union of the safe and the reach
+    predecessor sets says lost, since neither holds both of his moves."""
+    g = arena({"v": "abelard", "t": "eloise", "s": "eloise"},
+              {"v": ("v", "t"), "t": ("s",), "s": ("s",)}, initial="v")
+    assert cobuchi_on_names(g, frozenset({"t"})) and _enumerated_cobuchi(g, frozenset({"t"}))
+    v, t, s = (frozenset((i,)) for i in range(3))
+    assert almost_sure_cobuchi([(v, t | s), (v,), (s,)], [], 0, [1])
+    g = arena({"v": "abelard", "c": "random", "t": "eloise", "s": "eloise"},
+              {"v": ("v", "c"), "c": ("t", "s"), "t": ("v",), "s": ("s",)},
+              dist={"c": Distribution.half_half("t", "s")}, initial="v")
+    assert _enumerated_cobuchi(g, frozenset({"t"}))
+
+
+def test_almost_sure_cobuchi_loses_only_at_her_moveless_vertex():
+    """A vertex of hers with no move is lost, and no other vertex is lost
+    for it.  No game of the program has one: `StochasticArena` rejects
+    dead ends, and membership's node game a state with no row for a label
+    of the tree, with the builder's error."""
+    loop = (frozenset((0,)),)
+    assert almost_sure_cobuchi([loop, ()], [1], 0, [])
+    assert not almost_sure_cobuchi([loop, ()], [1], 1, [])
+
+
 def test_almost_sure_cobuchi_collapses_on_controller_free_arenas():
     rng = random.Random(6)
     for _ in range(100):
@@ -509,28 +540,58 @@ def test_almost_sure_cobuchi_size_guard():
             solve(g, frozenset({"v0"}))
 
 
-def test_almost_sure_cobuchi_matches_the_enumeration_oracle():
+def _node_game_calls(monkeypatch, draws) -> list:
+    """For each (automaton, accepting states, tree), the arguments co-Büchi
+    membership hands `almost_sure_cobuchi`, with the named acceptance game."""
+    calls = []
+    monkeypatch.setattr(acceptance, "almost_sure_cobuchi", lambda *args: calls.append(args))
+    out = []
+    for aut, final, t in draws:
+        qualitative_membership(aut, cobuchi(final), t)
+        (moves, mine, _, goal), = calls
+        calls.clear()
+        names = [state_vertex(q, n) for q in csorted(aut.states) for n in t.nodes]
+        out.append((moves, mine, goal, names, build_acceptance_game(aut, final, t)))
+    return out
+
+
+def test_almost_sure_cobuchi_matches_the_enumeration_oracle(monkeypatch):
+    """The fixed point and the enumeration oracle agree from every start
+    vertex: on random arenas with three targets, and on the node game that
+    co-Büchi membership hands the fixed point, of random automata, with
+    her rows mirrored on every second draw, and of layered ones, against
+    the named pebble arena.  Draws with more than 2**7 positional
+    strategies are skipped, to keep the enumeration short."""
     rng = random.Random(83)
-    seen = set()
+    seen = {True: 0, False: 0}
     for _ in range(150):
         g = random_arena(rng, 8)
-        g = with_initial(g, rng.choice(csorted(g.vertices)))
         for target in _targets(rng, g):
-            verdict = cobuchi_on_names(g, target)
-            assert verdict == _enumerated_cobuchi(g, target)
-            seen.add(verdict)
-    for g, target in _acceptance_arenas(89, 30):
-        verdict = cobuchi_on_names(g, target)
-        assert verdict == _enumerated_cobuchi(g, target)
-        seen.add(verdict)
-    rng = random.Random(97)
-    for _ in range(30):
+            a, goal, names = number(g, target)
+            for v, name in enumerate(names):
+                verdict = almost_sure_cobuchi(arena_moves(a), a.eloise, v, goal)
+                assert verdict == _enumerated_cobuchi(with_initial(g, name), target)
+                seen[verdict] += 1
+    rng = random.Random(29)
+    draws = []
+    for i in range(240):
+        if i % 4 == 3:
+            draws.append(layered_buchi(rng))
+            continue
         aut, final = random_alternating_buchi(rng, max_states=4)
         t = random_regular_tree(rng, 5, aut.alphabet)
-        game = build_acceptance_game(aut, final, t)
-        assert qualitative_membership(aut, cobuchi(final), t) == _enumerated_cobuchi(
-            game.arena, game.target)
-    assert seen == {True, False}
+        draws.append((mirrored(rng, aut) if i % 2 else aut, final, t))
+    tied = 0
+    for moves, mine, goal, names, game in _node_game_calls(monkeypatch, draws):
+        assert all(moves)
+        if math.prod(len(moves[v]) for v in mine) > 2**7:
+            continue
+        tied += 1
+        for v, name in enumerate(names):
+            verdict = almost_sure_cobuchi(moves, mine, v, goal)
+            assert verdict == _enumerated_cobuchi(with_initial(game.arena, name), game.target)
+            seen[verdict] += 1
+    assert tied >= 150 and min(seen.values()) >= 500, (tied, seen)
 
 
 def test_gadget_structure_and_trivial_instance():
