@@ -7,10 +7,14 @@ to MAX_NODES nodes with three unreachable nodes spliced in.
 `lasso_membership_word` on the word, and `prob_tree_membership` on both
 lifts and on the split automaton, over the tree and over the word's tree,
 must give the verdict of `as_verdict` on `word_chain` or `tree_chain`,
-under Büchi and under co-Büchi.  Each case is decided again with one
-transition row removed: the mask route must stop with the reference's
-missing-row error, or neither may stop.  Each disagreement is printed on
-its own line, and any makes the exit code 4.
+under Büchi and under co-Büchi.  Those draws almost never change verdict
+when the tree is mirrored, so each draw also decides a sticky split
+automaton, which keeps its state on both children half the time, on a
+fork of depth 1 or 2 with two unreachable nodes, and on the fork's mirror
+image: a mix-up of the two children then changes verdicts.  Each case is
+decided again with one transition row removed: the mask route must stop
+with the reference's missing-row error, or neither may stop.  Each
+disagreement is printed on its own line, and any makes the exit code 4.
 
 Usage: python scripts/chain_probe.py [SEED] [COUNT] [MAX_STATES] [MAX_NODES]
 """
@@ -20,7 +24,8 @@ import random
 import sys
 import time
 
-from qualtree.automata import BUCHI, COBUCHI, Alphabet
+from qualtree.automata import BUCHI, COBUCHI, Alphabet, ProbTreeAutomaton
+from qualtree.dist import Distribution
 from qualtree.markov import (
     as_verdict,
     lasso_membership_word,
@@ -36,13 +41,40 @@ from qualtree.suite import (
     random_split_automaton,
     with_unreachable_nodes,
 )
-from qualtree.trees import tree_from_word
+from qualtree.trees import RegularTree, tree_from_word
 
 SIGMA = Alphabet(("a", "b"))
 
 
+def fork(rng, depth, sigma):
+    """The finite binary tree of the given depth, randomly labelled, whose
+    leaves loop on themselves."""
+    nodes, label, succ0, succ1 = [], {}, {}, {}
+
+    def grow(d):
+        v = f"n{len(nodes)}"
+        nodes.append(v)
+        label[v] = rng.choice(sigma.symbols)
+        succ0[v], succ1[v] = (grow(d - 1), grow(d - 1)) if d else (v, v)
+        return v
+
+    grow(depth)
+    return RegularTree(tuple(nodes), nodes[0], label, succ0, succ1)
+
+
+def sticky_split_automaton(rng, n, sigma):
+    """A split automaton with one pair per row, which keeps its state on
+    both children half the time."""
+    states = [f"q{i}" for i in range(n)]
+    delta = {(q, x): Distribution.point((q, q) if rng.random() < 0.5
+                                        else (rng.choice(states), rng.choice(states)))
+             for q in states for x in sigma.symbols}
+    return ProbTreeAutomaton(sigma, frozenset(states), states[0], delta)
+
+
 def cases(rng, max_states, max_nodes):
-    """(decide, build, automaton, marked states, word or tree) of one draw."""
+    """(decide, build, automaton, marked states, word or tree) of one draw;
+    the last two are a fork and its mirror image."""
     a = random_simple_pwa(rng, max_states, SIGMA)
     final = frozenset(q for q in sorted(a.states) if rng.random() < 0.5)
     w = random_lasso_word(rng, SIGMA, max_nodes // 2, max(1, max_nodes // 2))
@@ -54,6 +86,11 @@ def cases(rng, max_states, max_nodes):
         for lift in (lift_diagonal, lift_swap):
             yield prob_tree_membership, tree_chain, lift(a), final, x
         yield prob_tree_membership, tree_chain, b, b_final, x
+    c = sticky_split_automaton(rng, rng.randint(1, max_states), SIGMA)
+    c_final = frozenset(q for q in sorted(c.states) if rng.random() < 0.5)
+    f = with_unreachable_nodes(rng, fork(rng, rng.randint(1, 2), SIGMA), SIGMA, 2)
+    for x in (f, RegularTree(f.nodes, f.root, f.label, f.succ1, f.succ0)):
+        yield prob_tree_membership, tree_chain, c, c_final, x
 
 
 def without_a_row(rng, a):
@@ -84,14 +121,16 @@ def main() -> int:
 
     rng = random.Random(seed)
     t0 = time.monotonic()
-    members, stopped, compared, bad = collections.Counter(), 0, 0, 0
+    members, stopped, compared, bad, mirrored = collections.Counter(), 0, 0, 0, 0
     for i in range(count):
+        wanted = []
         for decide, build, aut, marked, x in cases(rng, max_states, max_nodes):
             broken, reference = without_a_row(rng, aut), by_chain(build)
             for kind in (BUCHI, COBUCHI):
                 compared += 1
                 verdict = decide(aut, marked, x, kind)
-                if verdict != reference(aut, marked, x, kind):
+                wanted.append(reference(aut, marked, x, kind))
+                if verdict != wanted[-1]:
                     print(f"draw {i}: {decide.__name__} {kind} says {verdict}, "
                           f"the reference chain says {not verdict}")
                     bad += 1
@@ -103,10 +142,12 @@ def main() -> int:
                           f"the reference chain {want!r}")
                     bad += 1
                 stopped += isinstance(want, str)
+        mirrored += wanted[-4:-2] != wanted[-2:]
     elapsed = time.monotonic() - t0
     print(f"{count} draws in {elapsed:.1f}s: {compared} verdicts compared "
           f"({members[BUCHI]} Büchi and {members[COBUCHI]} co-Büchi members), "
-          f"{stopped} stopped by a removed row, {bad} disagreements")
+          f"{stopped} stopped by a removed row, {mirrored} forks whose verdict mirroring "
+          f"changes, {bad} disagreements")
     return 0 if not bad else 4
 
 

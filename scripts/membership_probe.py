@@ -3,22 +3,23 @@
 
 For each seeded draw and `random_regular_tree` of up to MAX_NODES nodes,
 `buchi_node_region` must hold exactly the state vertices of the region that
-`games._as_buchi_core` finds on the arena of `build_tree_game_arena`.  Three
-draws in four are `random_alternating_buchi` draws (1 to 3 symbols); every
-fourth is a `label_checks` draw, whose co-Büchi verdict can depend on which
-child a row sends each state to.  Co-Büchi membership, the fixed point of
+`games._as_buchi_core` finds on the arena of `build_tree_game_arena`, the
+named arena of `build_acceptance_game` numbered once.  Three draws in four
+are `random_alternating_buchi` draws (1 to 3 symbols); every fourth is a
+`label_checks` draw, whose co-Büchi verdict can depend on which child a row
+sends each state to.  Co-Büchi membership, the fixed point of
 `games.almost_sure_cobuchi` on the node game's rows, must give the verdict
 of the same fixed point on the arena's moves, on every draw with at most
 COBUCHI_STRATEGIES positional strategies (the others are counted, not
 decided, to keep a run short).  It must also give the verdict of
-`game_oracles.oracle_almost_sure_cobuchi` on the named arena of
-`build_acceptance_game`, when that arena's vertices times her strategies
-are at most ORACLE_WORK: the oracle tries every strategy from every vertex.
-A `random_alternating_buchi` draw's automaton is then checked for
-emptiness, and a witness tree of a non-empty verdict is decided again
-through the arena route, which must accept it.  (The emptiness search has
-no work bound, and some `label_checks` draws run it for minutes.)  Each disagreement is printed on its own line, and any makes
-the exit code 4.
+`game_oracles.oracle_almost_sure_cobuchi` on the named arena, when that
+arena's vertices times her strategies are at most ORACLE_WORK: the oracle
+decomposes the MDP of every strategy into end components.  A
+`random_alternating_buchi` draw's automaton is then checked for emptiness,
+and a witness tree of a non-empty verdict is decided again through the
+arena route, which must accept it.  (The emptiness search has no work
+bound, and some `label_checks` draws run it for minutes.)  Each
+disagreement is printed on its own line, and any makes the exit code 4.
 
 Usage: python scripts/membership_probe.py [SEED] [COUNT] [MAX_STATES] [MAX_NODES]
 """
@@ -44,7 +45,7 @@ from qualtree.ordering import csorted
 from qualtree.suite import random_alternating_buchi, random_regular_tree
 
 COBUCHI_STRATEGIES = 2**8
-ORACLE_WORK = 2**9
+ORACLE_WORK = 2**14
 
 
 def label_checks(rng, max_states):
@@ -69,9 +70,7 @@ def label_checks(rng, max_states):
 def pebble_arena(aut, states, final, t) -> tuple:
     """The pebble arena and the ids of its state vertices whose state is in
     `final`: (q, n) is rank(q)·|N| + rank(n)."""
-    arena = build_tree_game_arena(
-        states=states, eloise=aut.eloise, split_transitions=aut.transitions,
-        local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+    arena = build_tree_game_arena(aut, t)
     width = len(t.nodes)
     return arena, frozenset(i * width + n for i, q in enumerate(states) if q in final
                             for n in range(width))

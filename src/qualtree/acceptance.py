@@ -12,13 +12,14 @@ and each attractor (`buchi_node_region`, on `nodegraph.attractor`),
 co-Büchi by the nested fixed point of `games.almost_sure_cobuchi` on the
 rows of each state vertex (`_node_moves`).
 
-The pebble arena of the file boundary and the reductions is an integer
-`games.Arena` with no weights, since the qualitative verdict reads only
-supports.  With the states in canonical order and the nodes in the tree's
-order, state vertex (q, n) has id rank(q)·|N| + rank(n); one random vertex
-per matching split row follows, in the order the state vertices list them.
-Names (`state_vertex`, `random_vertex`) and the even split of each random
-vertex are given only at the file boundary, by `name_arena`.
+The pebble arena itself is kept as the reference that the tests and the
+probes tie the node game to; no verdict reads it.  It is built once, on
+names: `build_acceptance_game` lists the state vertices (`state_vertex`)
+first, states in canonical order and nodes in the tree's order, and then
+one random vertex (`random_vertex`, an even split) per matching row, in
+the order the state vertices list them.  `build_tree_game_arena` numbers
+it in that order with `games.number`, so state vertex (q, n) has id
+rank(q)·|N| + rank(n) and the random vertices follow.
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ from qualtree.automata import (
 )
 from qualtree.dist import Distribution
 from qualtree.errors import FormatError
-from qualtree.games import (
-    OWN_ABELARD,
-    OWN_ELOISE,
-    OWN_RANDOM,
-    Arena,
-    StochasticArena,
-    almost_sure_cobuchi,
-)
+from qualtree.games import Arena, StochasticArena, almost_sure_cobuchi, number
 from qualtree.ordering import csorted
 from qualtree.trees import RegularTree
 
@@ -54,100 +48,18 @@ def random_vertex(q: str, n: str, q0: str, q1: str) -> tuple:
     return ("r", q, n, q0, q1)
 
 
-def _tree_index(states, initial_state, split_transitions, local_transitions, tree: RegularTree):
+def _tree_index(states, initial_state, split_transitions, tree: RegularTree):
     """Check that every state the rows name and the initial state are
     declared, and that the root and every successor are nodes; return the
     labels, the left and the right child ids, by node id in `tree.nodes`
     order, and the root's id."""
-    unknown = ({initial_state} | {t[2] for t in local_transitions}
-               | {q for t in split_transitions for q in t[2:]}) - set(states)
+    unknown = ({initial_state} | {q for t in split_transitions for q in t[2:]}) - set(states)
     if unknown:
         raise ValueError(f"undeclared states: {' '.join(csorted(unknown))}")
     nodes = set(tree.nodes)
     if tree.root not in nodes or not {*tree.succ0.values(), *tree.succ1.values()} <= nodes:
         raise ValueError("the tree's root or a successor is not one of its nodes")
     return nodegraph.tree_places(tree)
-
-
-def build_tree_game_arena(
-    *,
-    states: Sequence[str],
-    eloise: frozenset[str],
-    split_transitions: frozenset,
-    local_transitions: frozenset,
-    initial_state: str,
-    tree: RegularTree,
-) -> Arena:
-    """Shared arena construction for split (and optionally local) transitions.
-
-    ``states`` come in rank order (callers pass them canonically sorted).
-    State vertices (q, n) belong to their state's owner; every split
-    transition contributes a random vertex over the two children, with one
-    successor when they coincide; local transitions move the state without
-    leaving the node.  A state vertex lists its local targets, then its
-    random vertices, each group in the order of the state names.
-    """
-    # The arena is built without the arena checks; its edges stay inside it
-    # when every state and node they name is declared.
-    labels, left, right, root = _tree_index(
-        states, initial_state, split_transitions, local_transitions, tree)
-    width = len(labels)
-    base = {q: i * width for i, q in enumerate(states)}
-    split_by: dict = {}
-    for (q, a, q0, q1) in sorted(split_transitions):
-        split_by.setdefault((q, a), []).append((base[q0], base[q1]))
-    local_by: dict = {}
-    for (q, a, q2) in sorted(local_transitions):
-        local_by.setdefault((q, a), []).append(base[q2])
-
-    succ: list = []
-    coins: list = []  # successors of the random vertices, in id order
-    first_coin = len(states) * width
-    owner = bytearray()
-    for q in states:
-        for i, a in enumerate(labels):
-            out = [b + i for b in local_by.get((q, a), ())]
-            for (b0, b1) in split_by.get((q, a), ()):
-                out.append(first_coin + len(coins))
-                c0, c1 = b0 + left[i], b1 + right[i]
-                coins.append((c0,) if c0 == c1 else (c0, c1))
-            if not out:
-                raise FormatError(f"no transition for state {q} on symbol {a}")
-            succ.append(tuple(out))
-        owner += bytes((OWN_ELOISE if q in eloise else OWN_ABELARD,)) * width
-    owner += bytes((OWN_RANDOM,)) * len(coins)
-    return Arena(succ + coins, bytes(owner), base[initial_state] + root)
-
-
-def name_arena(arena: Arena, states: Sequence[str], tree: RegularTree) -> StochasticArena:
-    """The named, weighted arena of the file boundary: id (q, n) is
-    `state_vertex(q, n)`, and a random id, whose only predecessor is the
-    state vertex (q, n), is `random_vertex(q, n, q0, q1)` with q0 and q1
-    the states of its children, an even split over them."""
-    width = len(tree.nodes)
-    first_coin = len(states) * width
-    names: list = [state_vertex(states[v // width], tree.nodes[v % width])
-                   for v in range(first_coin)]
-    names += [None] * (len(arena.succ) - first_coin)
-    for v in range(first_coin):
-        q, n = states[v // width], tree.nodes[v % width]
-        for r in arena.succ[v]:
-            if r >= first_coin:
-                c = arena.succ[r]
-                names[r] = random_vertex(q, n, states[c[0] // width], states[c[-1] // width])
-    edges = {names[v]: tuple(names[w] for w in ws) for v, ws in enumerate(arena.succ)}
-    dist = {names[r]: Distribution.half_half(names[c[0]], names[c[-1]])
-            for r, c in enumerate(arena.succ) if r >= first_coin}
-    owned = {code: frozenset(names[v] for v, o in enumerate(arena.owner) if o == code)
-             for code in (OWN_ELOISE, OWN_ABELARD, OWN_RANDOM)}
-    return StochasticArena._trusted(
-        eloise=owned[OWN_ELOISE],
-        abelard=owned[OWN_ABELARD],
-        random=owned[OWN_RANDOM],
-        edges=edges,
-        dist=dist,
-        initial=names[arena.initial],
-    )
 
 
 @dataclass(frozen=True)
@@ -160,23 +72,57 @@ def build_acceptance_game(
     a: AlternatingTreeAutomaton, final: frozenset, t: RegularTree
 ) -> AcceptanceGame:
     """The membership game with named vertices, for the file boundary and
-    the oracles."""
+    the oracles.
+
+    State vertex (q, n) belongs to q's owner.  Each row (q, label n, q0, q1)
+    gives it a random vertex with an even split over (q0, left n) and
+    (q1, right n), one successor when they coincide.  The state vertices
+    come first, states in canonical order and nodes in tree order, each
+    listing its random vertices in the sorted order of the rows; the random
+    vertices follow in that order.
+    """
     states = csorted(a.states)
-    arena = name_arena(build_tree_game_arena(
-        states=states, eloise=a.eloise, split_transitions=a.transitions,
-        local_transitions=frozenset(), initial_state=a.initial, tree=t), states, t)
+    _tree_index(states, a.initial, a.transitions, t)
+    rows: dict = {}
+    for (q, s, q0, q1) in sorted(a.transitions):
+        rows.setdefault((q, s), []).append((q0, q1))
+    edges: dict = {}
+    coins: dict = {}
+    dist: dict = {}
+    for q in states:
+        for n in t.nodes:
+            out = []
+            for (q0, q1) in rows.get((q, t.label[n]), ()):
+                r = random_vertex(q, n, q0, q1)
+                c0, c1 = state_vertex(q0, t.succ0[n]), state_vertex(q1, t.succ1[n])
+                coins[r] = (c0,) if c0 == c1 else (c0, c1)
+                dist[r] = Distribution.half_half(c0, c1)
+                out.append(r)
+            if not out:
+                raise FormatError(f"no transition for state {q} on symbol {t.label[n]}")
+            edges[state_vertex(q, n)] = tuple(out)
+    hers = frozenset(state_vertex(q, n) for q in states if q in a.eloise for n in t.nodes)
+    arena = StochasticArena._trusted(
+        eloise=hers, abelard=frozenset(edges) - hers, random=frozenset(coins),
+        edges=edges | coins, dist=dist, initial=state_vertex(a.initial, t.root))
     target = frozenset(state_vertex(q, n) for q in final for n in t.nodes)
     return AcceptanceGame(arena, target)
 
 
+def build_tree_game_arena(a: AlternatingTreeAutomaton, t: RegularTree) -> Arena:
+    """The pebble arena on ids, `games.number` of the named one: state
+    vertex (q, n) is rank(q)·|N| + rank(n), and the random vertices follow."""
+    return number(build_acceptance_game(a, frozenset(), t).arena, ())[0]
+
+
 def _node_game(a: AlternatingTreeAutomaton, states: Sequence[str], t: RegularTree) -> tuple:
     """The pebble game on the tree's nodes as a `nodegraph` node game,
-    checked as `build_tree_game_arena` checks it: per symbol id, the rows
+    checked as `build_acceptance_game` checks it: per symbol id, the rows
     as triples of state bits (q, q0, q1), bit rank(q) for q; and per node
     id, its symbol id, its left and right child ids and its parents, the
     distinct nodes that have it as a child.
     """
-    labels, left, right, _ = _tree_index(states, a.initial, a.transitions, (), t)
+    labels, left, right, _ = _tree_index(states, a.initial, a.transitions, t)
     bit = {q: 1 << i for i, q in enumerate(states)}
     symbols = {s: k for k, s in enumerate(dict.fromkeys(labels))}  # tree order
     has = {row[:2] for row in a.transitions}

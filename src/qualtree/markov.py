@@ -15,12 +15,12 @@ the row (q, x, x), and a tree row gives one row (q, q0, q1) per pair of its
 support.  Reachability is one forward walk from (initial, root), and "can
 reach" is `nodegraph.attractor` with every state existential.
 
-The product chains themselves (`word_chain` and `tree_chain`, explored by
-`_product_chain`) and their bottom SCCs (`bsccs`, `as_verdict`) are kept as
-the reference that the tests tie the verdicts to, and for the benchmark's
-tracer; no verdict reads them.  Exact weights stay where a number is the
-answer: finite-word acceptance probabilities are computed by exact forward
-propagation.
+The product chains themselves (`word_chain` and `tree_chain`, which
+`explore` walks breadth-first on (state, place) tuples) and their bottom
+SCCs (`bsccs`, `as_verdict`) are kept as the reference that the tests tie
+the verdicts to, and for the benchmark's tracer; no verdict reads them.
+Exact weights stay where a number is the answer: finite-word acceptance
+probabilities are computed by exact forward propagation.
 """
 
 from __future__ import annotations
@@ -54,62 +54,23 @@ class Chain:
     marked: list
 
 
-def _product_chain(a, final, places, label, child0, child1, start, split) -> Chain:
-    """The run chain of ``a`` over a graph of places (lasso positions or tree
-    nodes), explored breadth-first from (``a.initial``, ``places[start]``).
-
-    Place ``p`` reads the symbol ``label[p]`` and has the children
-    ``child0[p]`` and ``child1[p]``, given as indices into ``places``.
-    ``split(q, symbol)`` gives the states that ``q``'s row sends to the
-    first child and those it sends to the second.  Automaton states are
-    ranked as rows name them, the initial state first, and state (q, p) is
-    keyed by rank(q)·|P| + p.  A row is made once per (rank, symbol): its
-    left, right and union targets as ranks times |P|, so that an edge to
-    child c is the key ``y + c``.  Names and marked flags are made once per
-    found state, at the end.
-    """
-    n = len(places)
-    ranks = {a.initial: 0}
-    names = [a.initial]
-    rows: list = [{}]  # by rank: symbol -> (left, right, union)
-
-    def scaled(qs):
-        out = []
-        for q in qs:
-            r = ranks.get(q)
-            if r is None:
-                r = ranks[q] = len(names)
-                names.append(q)
-                rows.append({})
-            out.append(r * n)
-        return out
-
-    keys = [start]  # by id; the initial state has rank 0
+def explore(start, row, is_marked) -> Chain:
+    """The chain of the states reachable from ``start``, numbered
+    breadth-first in the order they are found; ``row(s)`` lists the
+    successors of ``s``."""
+    states = [start]
     ids = {start: 0}
-    get = ids.get
     succ = []
-    for x in keys:  # breadth-first: keys grows while it is read
-        r, p = divmod(x, n)
-        row = rows[r].get(label[p])
-        if row is None:
-            left, right = split(names[r], label[p])
-            left, right = scaled(left), scaled(right)
-            row = rows[r][label[p]] = (left, right, list(dict.fromkeys(left + right)))
-        c0, c1 = child0[p], child1[p]
+    for s in states:  # breadth-first: states grows while it is read
         out = []
-        for targets, c in ((row[2], c0),) if c0 == c1 else ((row[0], c0), (row[1], c1)):
-            for y in targets:
-                y += c
-                j = get(y)
-                if j is None:
-                    j = ids[y] = len(keys)
-                    keys.append(y)
-                out.append(j)
+        for x in row(s):
+            j = ids.get(x)
+            if j is None:
+                j = ids[x] = len(states)
+                states.append(x)
+            out.append(j)
         succ.append(out)
-    del ids, get  # free the id table before the names are made
-    is_final = [q in final for q in names]
-    return Chain([(names[x // n], places[x % n]) for x in keys], succ,
-                 [is_final[x // n] for x in keys])
+    return Chain(states, succ, [is_marked(s) for s in states])
 
 
 def bsccs(m: Chain) -> list[list[int]]:
@@ -201,13 +162,17 @@ def _lasso_places(w: UltimatelyPeriodicWord) -> tuple:
 
 
 def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> Chain:
-    """The run chain over w; its states are (automaton state, lasso position)."""
+    """The run chain over w; its states are (automaton state, lasso
+    position), explored from (initial, 0)."""
+    k, n = len(w.prefix), len(w)
+    symbols = w.take(n)
 
-    def split(q, symbol):
-        targets = tuple(a.dist(q, symbol))
-        return targets, targets
+    def row(s):
+        q, i = s
+        j = i + 1 if i + 1 < n else k
+        return [(q2, j) for q2 in a.dist(q, symbols[i])]
 
-    return _product_chain(a, final, list(range(len(w))), *_lasso_places(w), split)
+    return explore((a.initial, 0), row, lambda s: s[0] in final)
 
 
 def lasso_membership_word(
@@ -221,14 +186,20 @@ def tree_chain(a: ProbTreeAutomaton, final: frozenset, t: RegularTree) -> Chain:
 
     States are (automaton state, tree node), explored from (initial, root).
     A split target (q0, q1) at node n leads to (q0, succ0[n]) and to
-    (q1, succ1[n]).
+    (q1, succ1[n]); each child lists its states once, in row order.
     """
 
-    def split(q, symbol):
-        pairs = tuple(a.dist(q, symbol))
-        return dict.fromkeys(q0 for q0, _ in pairs), dict.fromkeys(q1 for _, q1 in pairs)
+    def row(s):
+        q, n = s
+        pairs = a.dist(q, t.label[n])
+        left = dict.fromkeys(q0 for q0, _ in pairs)
+        right = dict.fromkeys(q1 for _, q1 in pairs)
+        c0, c1 = t.succ0[n], t.succ1[n]
+        if c0 == c1:
+            return [(x, c0) for x in left | right]
+        return [(x, c0) for x in left] + [(x, c1) for x in right]
 
-    return _product_chain(a, final, t.nodes, *nodegraph.tree_places(t), split)
+    return explore((a.initial, t.root), row, lambda s: s[0] in final)
 
 
 def prob_tree_membership(

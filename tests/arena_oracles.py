@@ -20,8 +20,11 @@ and ``random_mdp_arena``, the random controller arenas of their tests.
 the oracle of ``games.almost_sure_cobuchi``, and ``state_ids`` numbers a
 state set on the pebble arena of ``acceptance.build_tree_game_arena``, on
 which co-Büchi membership was decided before it moved to the node game.
-``build_nonzero_arena`` names the arena of the mixed-clause model, which
-no solver decides, for the tests of the ordered embedding.
+``named_tree_game_arena`` builds the pebble arena, local rows included,
+through the checking constructor of ``StochasticArena``: it is the oracle
+of ``acceptance.build_acceptance_game``, and ``build_nonzero_arena`` uses
+it for the arena of the mixed-clause model, which no solver decides, for
+the tests of the ordered embedding.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from qualtree.acceptance import build_tree_game_arena, name_arena, state_vertex
+from qualtree.acceptance import random_vertex, state_vertex
 from qualtree.automata import NonZeroAutomaton
 from qualtree.dist import Distribution
 from qualtree.errors import ResourceLimit
@@ -378,6 +381,42 @@ def random_mdp_arena(rng: random.Random, max_vertices: int = 6) -> StochasticAre
     )
 
 
+def named_tree_game_arena(
+    *, states, eloise, split_transitions, local_transitions, initial_state, tree
+) -> StochasticArena:
+    """The pebble-game arena built through the checking constructor, as the
+    oracle of ``acceptance.build_acceptance_game``: state vertex (q, n)
+    belongs to q's owner, every split row makes a random vertex with an
+    even split over the two children (a point mass when they coincide), and
+    local rows move the state on the same node."""
+    split_by: dict = {}
+    for (q, a, q0, q1) in split_transitions:
+        split_by.setdefault((q, a), []).append((q0, q1))
+    local_by: dict = {}
+    for (q, a, q2) in local_transitions:
+        local_by.setdefault((q, a), []).append(q2)
+    ve, va, vr = set(), set(), set()
+    edges: dict = {}
+    dist: dict = {}
+    for q in states:
+        for n in tree.nodes:
+            v = state_vertex(q, n)
+            (ve if q in eloise else va).add(v)
+            a = tree.label[n]
+            out = [state_vertex(q2, n) for q2 in sorted(local_by.get((q, a), ()))]
+            for (q0, q1) in sorted(split_by.get((q, a), ())):
+                r = random_vertex(q, n, q0, q1)
+                vr.add(r)
+                out.append(r)
+                c0 = state_vertex(q0, tree.succ0[n])
+                c1 = state_vertex(q1, tree.succ1[n])
+                dist[r] = Distribution.half_half(c0, c1)
+                edges[r] = (c0,) if c0 == c1 else (c0, c1)
+            edges[v] = tuple(out)
+    return StochasticArena(frozenset(ve), frozenset(va), frozenset(vr), edges, dist,
+                           state_vertex(initial_state, tree.root))
+
+
 def build_nonzero_arena(
     b: NonZeroAutomaton, t: RegularTree
 ) -> tuple[StochasticArena, dict]:
@@ -388,15 +427,14 @@ def build_nonzero_arena(
     game, so for purely split automata the arena coincides with it.  The
     three clause sets come back as vertex markings.
     """
-    states = csorted(b.states)
-    arena = name_arena(build_tree_game_arena(
-        states=states,
+    arena = named_tree_game_arena(
+        states=b.states,
         eloise=b.eloise,
         split_transitions=b.split_transitions,
         local_transitions=b.local_transitions,
         initial_state=b.initial,
         tree=t,
-    ), states, t)
+    )
     marks = {
         name: frozenset(state_vertex(q, n) for q in subset for n in t.nodes)
         for name, subset in (

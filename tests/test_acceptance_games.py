@@ -11,7 +11,6 @@ from qualtree.acceptance import (
     build_tree_game_arena,
     buchi_node_region,
     qualitative_membership,
-    random_vertex,
     state_vertex,
 )
 from qualtree.automata import (
@@ -22,7 +21,6 @@ from qualtree.automata import (
     cobuchi,
     universal_to_alternating,
 )
-from qualtree.dist import Distribution
 from qualtree.errors import FormatError, ResourceLimit
 from qualtree.gallery import constant_tree, contradictory_uniformity_automaton
 from qualtree.game_oracles import oracle_almost_sure_buchi
@@ -31,7 +29,6 @@ from qualtree.games import (
     OWN_ELOISE,
     OWN_RANDOM,
     PositionalStrategy,
-    StochasticArena,
     _as_buchi_core,
     _attractor,
     almost_sure_buchi,
@@ -44,7 +41,12 @@ from qualtree.ordering import csorted
 from qualtree.reductions import lift_swap, universalize
 from qualtree.suite import random_alternating_buchi, random_regular_tree, random_simple_pwa
 from qualtree.trees import RegularTree, lasso, tree_from_word
-from arena_oracles import _enumerated_cobuchi, build_nonzero_arena, state_ids
+from arena_oracles import (
+    _enumerated_cobuchi,
+    build_nonzero_arena,
+    named_tree_game_arena,
+    state_ids,
+)
 from draws import layered_buchi, mirrored
 
 A_ONLY = Alphabet(("a",))
@@ -60,42 +62,6 @@ def one_state_automaton():
         eloise=frozenset(),
         abelard=frozenset({"q"}),
     )
-
-
-def named_tree_game_arena(
-    *, states, eloise, split_transitions, local_transitions, initial_state, tree
-) -> StochasticArena:
-    """The pebble-game arena built directly on named vertices, kept as the
-    oracle of the integer builder: state vertex (q, n) belongs to q's owner,
-    every split row makes a random vertex with an even split over the two
-    children (a point mass when they coincide), and local rows move the
-    state on the same node."""
-    split_by: dict = {}
-    for (q, a, q0, q1) in split_transitions:
-        split_by.setdefault((q, a), []).append((q0, q1))
-    local_by: dict = {}
-    for (q, a, q2) in local_transitions:
-        local_by.setdefault((q, a), []).append(q2)
-    ve, va, vr = set(), set(), set()
-    edges: dict = {}
-    dist: dict = {}
-    for q in states:
-        for n in tree.nodes:
-            v = state_vertex(q, n)
-            (ve if q in eloise else va).add(v)
-            a = tree.label[n]
-            out = [state_vertex(q2, n) for q2 in sorted(local_by.get((q, a), ()))]
-            for (q0, q1) in sorted(split_by.get((q, a), ())):
-                r = random_vertex(q, n, q0, q1)
-                vr.add(r)
-                out.append(r)
-                c0 = state_vertex(q0, tree.succ0[n])
-                c1 = state_vertex(q1, tree.succ1[n])
-                dist[r] = Distribution.half_half(c0, c1)
-                edges[r] = (c0,) if c0 == c1 else (c0, c1)
-            edges[v] = tuple(out)
-    return StochasticArena(frozenset(ve), frozenset(va), frozenset(vr), edges, dist,
-                           state_vertex(initial_state, tree.root))
 
 
 def _with_local_rows(rng, aut) -> NonZeroAutomaton:
@@ -123,13 +89,13 @@ def test_integer_arena_names_match_the_named_oracle():
         assert game.arena == oracle
         assert game.target == frozenset(state_vertex(q, n) for q in final for n in t.nodes)
 
-        # The named view numbers back into the integer arena it came from.
+        # The integer arena is the named one numbered in its edge order.
         states = csorted(aut.states)
-        arena = build_tree_game_arena(
-            states=states, eloise=aut.eloise, split_transitions=aut.transitions,
-            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+        arena = build_tree_game_arena(aut, t)
         again, goal, names = number(game.arena, game.target)
         assert again == arena and goal == state_ids(states, final, t)
+        assert names[:len(states) * len(t.nodes)] == tuple(
+            state_vertex(q, n) for q in states for n in t.nodes)
 
         region, strategy = almost_sure_buchi(arena, goal)
         verdict = qualitative_membership(aut, buchi(final), t)
@@ -140,11 +106,14 @@ def test_integer_arena_names_match_the_named_oracle():
         won += verdict
         lost += not verdict
 
+        # Local rows come before the membership game's random vertices.
         nz = _with_local_rows(rng, aut)
         named, marks = build_nonzero_arena(nz, t)
-        assert named == named_tree_game_arena(
-            states=nz.states, eloise=nz.eloise, split_transitions=nz.split_transitions,
-            local_transitions=nz.local_transitions, initial_state=nz.initial, tree=t)
+        for v, out in game.arena.edges.items():
+            local = () if v in game.arena.random else tuple(
+                state_vertex(q2, v[2]) for (q, s, q2) in sorted(nz.local_transitions)
+                if q == v[1] and s == t.label[v[2]])
+            assert named.edges[v] == local + out
         assert marks["one"] == frozenset(state_vertex(q, n) for q in nz.f_one for n in t.nodes)
     assert won > 10 and lost > 10
 
@@ -177,9 +146,7 @@ def test_vertex_count_arithmetic():
         # Ids: (q, n) is rank(q)·|N| + rank(n), then one random id per row.
         states, nodes = csorted(aut.states), t.nodes
         width = len(nodes)
-        arena = build_tree_game_arena(
-            states=states, eloise=aut.eloise, split_transitions=aut.transitions,
-            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+        arena = build_tree_game_arena(aut, t)
         first_coin = len(states) * width
         assert sorted(arena.eloise + arena.abelard) == list(range(first_coin))
         assert arena.random == list(range(first_coin, first_coin + matches))
@@ -311,12 +278,6 @@ def test_two_sided_split_membership_implies_probabilistic_membership():
 # ---------------------------------------------------------------------------
 
 
-def _arena(aut, states, t):
-    return build_tree_game_arena(
-        states=states, eloise=aut.eloise, split_transitions=aut.transitions,
-        local_transitions=frozenset(), initial_state=aut.initial, tree=t)
-
-
 def _mask_ids(masks, width) -> frozenset:
     """State-vertex ids of a node-mask region: bit r of node n is r·width + n."""
     return frozenset(r * width + n for n, m in enumerate(masks)
@@ -328,7 +289,7 @@ def _tie_node_region_to_the_core(aut, final, t) -> bool:
     on the pebble arena; returns whether that region is partial."""
     states = csorted(aut.states)
     width = len(t.nodes)
-    region, _ = _as_buchi_core(_arena(aut, states, t), state_ids(states, final, t))
+    region, _ = _as_buchi_core(build_tree_game_arena(aut, t), state_ids(states, final, t))
     on_states = frozenset(v for v in region if v < len(states) * width)
     assert _mask_ids(buchi_node_region(aut, states, final, t), width) == on_states
     return 0 < len(on_states) < len(states) * width
@@ -381,7 +342,7 @@ def test_node_attractor_is_the_arena_attractor():
         k, width = len(states), len(t.nodes)
         region = [sum(1 << r for r in range(k) if rng.random() < 0.8) for _ in t.nodes]
         base = [m & sum(1 << r for r in range(k) if rng.random() < 0.2) for m in region]
-        arena = _arena(aut, states, t)
+        arena = build_tree_game_arena(aut, t)
         inside = bytearray(region[v % width] >> (v // width) & 1 for v in range(k * width))
         inside += bytes(all(inside[w] for w in ws) for ws in arena.succ[k * width:])
         pred: list = [[] for _ in arena.succ]
@@ -440,14 +401,14 @@ def test_buchi_route_raises_the_builders_errors():
         bad = dataclasses.replace(aut, complete=False, transitions=frozenset(
             r for r in aut.transitions if r[:2] not in gone))
         try:
-            _arena(bad, states, t)
+            build_tree_game_arena(bad, t)
         except FormatError as e:
             holes += 1
             expected = (FormatError, str(e))
             assert _raised(lambda: qualitative_membership(bad, buchi(final), t)) == expected
             assert _raised(lambda: qualitative_membership(bad, cobuchi(final), t)) == expected
         else:
-            region, _ = _as_buchi_core(_arena(bad, states, t), state_ids(states, final, t))
+            region, _ = _as_buchi_core(build_tree_game_arena(bad, t), state_ids(states, final, t))
             assert _mask_ids(buchi_node_region(bad, states, final, t), len(t.nodes)) == {
                 v for v in region if v < len(states) * len(t.nodes)}
 
@@ -461,13 +422,13 @@ def test_buchi_route_raises_the_builders_errors():
             dataclasses.replace(aut, initial="zz"),
             dataclasses.replace(aut, transitions=aut.transitions | {(q, s, "zz", "zy")}),
         ):
-            expected = _raised(lambda: _arena(undeclared, states, t))
+            expected = _raised(lambda: build_tree_game_arena(undeclared, t))
             assert expected[0] is ValueError and expected[1].startswith("undeclared states: z")
             assert _raised(lambda: qualitative_membership(undeclared, buchi(final), t)) == expected
         n = rng.choice(t.nodes)
         for foreign in (dataclasses.replace(t, root="zz"),
                         dataclasses.replace(t, succ1={**t.succ1, n: "zz"})):
-            expected = _raised(lambda: _arena(aut, states, foreign))
+            expected = _raised(lambda: build_tree_game_arena(aut, foreign))
             assert _raised(lambda: qualitative_membership(aut, buchi(final), foreign)) == expected
     assert holes > 100
 
@@ -513,7 +474,7 @@ def test_cobuchi_node_rows_are_the_arena_coins(monkeypatch):
                 aut = mirrored(rng, aut)
             t = random_regular_tree(rng, 5, aut.alphabet)
         states = csorted(aut.states)
-        arena, goal = _arena(aut, states, t), state_ids(states, final, t)
+        arena, goal = build_tree_game_arena(aut, t), state_ids(states, final, t)
         calls.clear()
         got = verdict(lambda: qualitative_membership(aut, cobuchi(final), t))
         ((moves, mine, initial, target),) = calls

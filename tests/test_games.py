@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -39,7 +40,11 @@ from qualtree.games import (
     mec_decomposition,
     number,
 )
-from qualtree.game_oracles import oracle_almost_sure_buchi, oracle_almost_sure_reach
+from qualtree.game_oracles import (
+    oracle_almost_sure_buchi,
+    oracle_almost_sure_cobuchi,
+    oracle_almost_sure_reach,
+)
 from qualtree.graphs import reachable, sccs
 from qualtree.markov import as_verdict
 from qualtree.ordering import ckey, csorted
@@ -359,6 +364,32 @@ def _renumbered(g, rng):
     rng.shuffle(order)
     return StochasticArena(g.eloise, g.abelard, g.random,
                            {v: g.edges[v] for v in order}, g.dist, g.initial)
+
+
+def _cobuchi_check(a, goal, s) -> bool:
+    return not _positive_buchi_view(fix_strategy(a, s.choice), goal)
+
+
+def test_oracles_decide_every_start_as_the_per_start_checks():
+    """One end-component decomposition per strategy gives, from every start
+    vertex, the verdict of the exact strategy check played from that vertex,
+    for Büchi, reach and co-Büchi: on seeded random arenas with a random
+    target, an empty one and a full one."""
+    rng = random.Random(89)
+    partial = collections.Counter()
+    for _ in range(500):
+        g = random_arena(rng, 6)
+        for target in (random_target(rng, g), frozenset(), g.vertices):
+            a, goal, names = number(g, target)
+            strategies = list(eloise_positional_strategies(a))
+            for oracle, check in ((oracle_almost_sure_buchi, check_buchi_strategy),
+                                  (oracle_almost_sure_reach, check_reach_strategy),
+                                  (oracle_almost_sure_cobuchi, _cobuchi_check)):
+                won = {names[v] for v in range(len(names))
+                       if any(check(replace(a, initial=v), goal, s) for s in strategies)}
+                assert oracle(g, target) == won
+                partial[oracle] += 0 < len(won) < len(names)
+    assert len(partial) == 3 and min(partial.values()) >= 50
 
 
 def test_verdicts_do_not_depend_on_the_numbering():
@@ -759,9 +790,7 @@ def _membership_int_arenas(seed, count):
         aut, final = random_alternating_buchi(rng, max_states=6)
         t = random_regular_tree(rng, 8, aut.alphabet)
         states = csorted(aut.states)
-        arena = build_tree_game_arena(
-            states=states, eloise=aut.eloise, split_transitions=aut.transitions,
-            local_transitions=frozenset(), initial_state=aut.initial, tree=t)
+        arena = build_tree_game_arena(aut, t)
         for target in (final, frozenset(), aut.states):
             yield arena, state_ids(states, target, t)
 

@@ -1,14 +1,11 @@
-"""Weighted Markov chains and reference chain builders for the tests.
+"""Weighted Markov chains for the tests.
 
 ``qualtree.markov`` decides chains from their support graphs alone, on
-state masks, and keeps its support chains only as the reference that the
-tests tie those verdicts to.  The tests keep the weighted chains that it
-no longer builds: the full products are oracles for the explored support
-chains, their weights are checked to stay exact, and simulations sample
-runs from them.  They also keep a generic explorer over hashable states,
-and with it product builders keyed by (state, place) tuples, against which
-the integer-keyed builders of ``qualtree.markov`` must give equal chains,
-id for id.
+state masks, and keeps its support chains, explored on (state, place)
+tuples, only as the reference that the tests tie those verdicts to.  The
+tests keep the weighted chains that it no longer builds: the full products
+are oracles for the explored support chains, their weights are checked to
+stay exact, and simulations sample runs from them.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from fractions import Fraction
 
 from qualtree.dist import Distribution
 from qualtree.graphs import reachable
-from qualtree.markov import Chain, bsccs
+from qualtree.markov import Chain, bsccs, explore
 from qualtree.ordering import csorted
 
 
@@ -33,64 +30,6 @@ class MarkovChain:
 
     def successors(self, s):
         return self.trans[s].support()
-
-
-def explore(start, row, is_marked) -> Chain:
-    """The chain of the states reachable from ``start``, numbered
-    breadth-first in the order they are found; ``row(s)`` lists the
-    successors of ``s``."""
-    states = [start]
-    ids = {start: 0}
-    succ = []
-    for s in states:  # breadth-first: states grows while it is read
-        out = []
-        for x in row(s):
-            j = ids.get(x)
-            if j is None:
-                j = ids[x] = len(states)
-                states.append(x)
-            out.append(j)
-        succ.append(out)
-    return Chain(states, succ, [is_marked(s) for s in states])
-
-
-def tuple_word_chain(a, final, w) -> Chain:
-    """``markov.word_chain`` with (state, lasso position) tuples as keys."""
-    k, n = len(w.prefix), len(w)
-    symbols = w.take(n)
-    rows: dict = {}  # (state, symbol) -> support
-
-    def row(s):
-        q, i = s
-        key = (q, symbols[i])
-        targets = rows.get(key)
-        if targets is None:
-            targets = rows[key] = tuple(a.dist(*key))
-        j = i + 1 if i + 1 < n else k
-        return [(q2, j) for q2 in targets]
-
-    return explore((a.initial, 0), row, lambda s: s[0] in final)
-
-
-def tuple_tree_chain(a, final, t) -> Chain:
-    """``markov.tree_chain`` with (state, tree node) tuples as keys."""
-    splits: dict = {}  # (state, symbol) -> (left targets, right targets, both)
-
-    def row(s):
-        q, n = s
-        key = (q, t.label[n])
-        split = splits.get(key)
-        if split is None:
-            pairs = tuple(a.dist(*key))
-            left = dict.fromkeys(q0 for q0, _ in pairs)
-            right = dict.fromkeys(q1 for _, q1 in pairs)
-            split = splits[key] = (tuple(left), tuple(right), tuple(left | right))
-        c0, c1 = t.succ0[n], t.succ1[n]
-        if c0 == c1:
-            return [(x, c0) for x in split[2]]
-        return [(x, c0) for x in split[0]] + [(x, c1) for x in split[1]]
-
-    return explore((a.initial, t.root), row, lambda s: s[0] in final)
 
 
 def support_chain(m: MarkovChain) -> Chain:
