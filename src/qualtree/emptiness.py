@@ -15,20 +15,23 @@ knowledge-set memory either passes or fails the exact product check
 `check_observation_strategy`.  The solver searches that strategy space
 directly, on the game numbered once (`number_game`), where a knowledge set
 is an int bitmask of vertex ids and its post under an action is the OR of
-its members' successor masks, split by observation class.  Two sound
-short-cuts come first: a full-information upper bound, an integer
-`games.Arena` solved before any knowledge set is explored, and a
-sure-winning lower bound on the knowledge-set game.  The search keeps
-its breadth-first frontier on its trail and refutes each partial table by
-the end components of its product with the knowledge sets, made of rows
-built once per (knowledge set, action).  The table without its deepest set
-was not refuted, so only a component through that set is sought.  All of
-this runs on supports, since a refutation only asks whether a target-free
-end component exists; the arena itself holds only supports, as no verdict
-reads a weight.  Names come back at the edge: a winning table becomes a
-strategy on knowledge sets of vertex names.  The solver does not re-check
-it; the tests, the crosscheck suite and the probes run
-`check_observation_strategy` on the strategies it returns, and
+its members' successor masks, split by observation class, computed the
+first time it is looked up.  The routes run in this order: a
+full-information upper bound, an integer `games.Arena` solved before any
+knowledge set is explored; the first descent, which checks the search's
+first leaf (action 0 at every knowledge set it reaches) once, on only the
+knowledge sets it reaches, and is not a second search; when it loses, the
+full exploration with a sure-winning lower bound on the knowledge-set
+game; then the search.  The search keeps its breadth-first frontier on its trail and refutes each
+partial table by the end components of its product with the knowledge
+sets, made of rows built once per (knowledge set, action).  The table
+without its deepest set was not refuted, so only a component through that
+set is sought.  All of this runs on supports, since a refutation only asks
+whether a target-free end component exists; the arena itself holds only
+supports, as no verdict reads a weight.  Names come back at the edge: a
+winning table becomes a strategy on knowledge sets of vertex names.  The
+solver does not re-check it; the tests, the crosscheck suite and the
+probes run `check_observation_strategy` on the strategies it returns, and
 `check_emptiness` decides the witness tree it ships by membership.  The
 blunt enumeration in `solve_by_enumeration` walks knowledge sets of names,
 shares only the backtracking order, and re-derives every verdict with that
@@ -334,37 +337,54 @@ def initial_belief(g: ImperfectInfoArena) -> frozenset:
     return frozenset({g.initial})
 
 
+class _KnowledgeSets(dict):
+    """The successor table {(knowledge-set id, action id): {observation code:
+    knowledge-set id}}, each inner dict in canonical observation order, an
+    entry computed on its first lookup as the OR of the members' successor
+    masks, split by observation class.  `masks` lists the knowledge sets
+    found so far, in discovery order; one more than `cap` raises
+    `ResourceLimit`."""
+
+    def __init__(self, n: NumberedGame, cap: int):
+        super().__init__()
+        self.n_a, self.step, self.classes, self.cap = len(n.g.actions), n.post, n.classes, cap
+        self.masks = [1 << n.initial]
+        self.ids = {self.masks[0]: 0}
+        self.rows = [[n.initial * self.n_a]]  # per knowledge set, its members' entries
+
+    def __missing__(self, key) -> dict:
+        b, a = key
+        reach = 0
+        for r in self.rows[b]:
+            reach |= self.step[r + a]
+        branches = {}
+        for o, cls in enumerate(self.classes):
+            m2 = reach & cls
+            if m2:
+                b2 = self.ids.get(m2)
+                if b2 is None:
+                    if len(self.masks) >= self.cap:
+                        raise ResourceLimit("reachable knowledge sets", self.cap)
+                    b2 = self.ids[m2] = len(self.masks)
+                    self.masks.append(m2)
+                    self.rows.append([v * self.n_a for v in _bits(m2)])
+                branches[o] = b2
+        self[key] = branches
+        return branches
+
+
 def reachable_beliefs(n: NumberedGame, cap: int):
     """Breadth-first knowledge-set exploration on masks.
 
     Returns the knowledge sets as masks, in discovery order, and the
-    successor table {(knowledge-set id, action id): {observation code:
-    knowledge-set id}}, each inner dict in canonical observation order.
-    The post of a knowledge set under an action is the OR of its members'
-    successor masks, split by observation class.
+    successor table `_KnowledgeSets`, forced on every (knowledge set,
+    action) pair in that order.
     """
-    n_a, step, classes = len(n.g.actions), n.post, n.classes
-    masks = [1 << n.initial]
-    seen = {masks[0]: 0}
-    post: dict = {}
-    for b, mask in enumerate(masks):  # breadth-first: masks grows while it is read
-        rows = [v * n_a for v in _bits(mask)]
-        for a in range(n_a):
-            reach = 0
-            for r in rows:
-                reach |= step[r + a]
-            branches = post[(b, a)] = {}
-            for o, cls in enumerate(classes):
-                m2 = reach & cls
-                if m2:
-                    b2 = seen.get(m2)
-                    if b2 is None:
-                        b2 = seen[m2] = len(masks)
-                        masks.append(m2)
-                        if len(masks) > cap:
-                            raise ResourceLimit("reachable knowledge sets", cap)
-                    branches[o] = b2
-    return masks, post
+    post = _KnowledgeSets(n, cap)
+    for b, _ in enumerate(post.masks):  # breadth-first: masks grows while it is read
+        for a in range(post.n_a):
+            post[(b, a)]
+    return post.masks, post
 
 
 def _named_beliefs(g: ImperfectInfoArena, cap: int):
@@ -497,40 +517,43 @@ def _closed_tables(root, post: dict, actions, refuted=None):
             return
 
 
+def _product_row(n: NumberedGame, masks: list, post: dict, b: int, a: int) -> dict:
+    """The row of knowledge set b under action a in the product of the game
+    with the knowledge sets: b's pairs outside the target mapped to their
+    moves as support sets of pair ids (only supports matter).  Pair
+    (vertex v, knowledge set b) has id b * |V| + v."""
+    n_act, n_v, obs, moves = len(n.g.actions), len(n.obs), n.obs, n.moves
+    base = {o: b2 * n_v for o, b2 in post[(b, a)].items()}
+    return {b * n_v + v: tuple([frozenset([base[obs[v2]] + v2 for v2 in support])
+                                for support in moves[v * n_act + a]])
+            for v in _bits(masks[b] & ~n.target)}
+
+
 def _table_refuter(n: NumberedGame, masks: list, post: dict):
     """Refutation of partial tables on ids: `refuted(table)` is true when a
     target-free end component of pairs whose knowledge set the table assigns
     survives every completion.
 
-    Pair (vertex v, knowledge set b) has id b * |V| + v.  The row of b under
-    action a, built once per search, maps b's pairs outside the target to
-    their moves as support sets of pair ids (only supports matter).
-    `_closed_tables` assigns only knowledge sets reached under the earlier
-    assignments, so a table's product needs no walk: it is the rows of its
-    assigned sets, and on a closed table the predicate is exactly "the
-    table loses".  By its invariant, the table without its deepest set b,
-    the dict's last key, was not refuted, so an end component, if any,
-    holds a safe pair of b.  Components are sought only in the forward
+    The `_product_row` of each (knowledge set, action) is built once per
+    search.  `_closed_tables` assigns only knowledge sets reached under the
+    earlier assignments, so a table's product needs no walk: it is the rows
+    of its assigned sets, and on a closed table the predicate is exactly
+    "the table loses".  By its invariant, the table without its deepest
+    set b, the dict's last key, was not refuted, so an end component, if
+    any, holds a safe pair of b.  Components are sought only in the forward
     closure of b's safe pairs under the moves whose whole support is safe
     pairs of assigned sets.
     """
-    n_act, n_v, obs, moves, target = len(n.g.actions), len(n.obs), n.obs, n.moves, n.target
     prod: dict = {}  # safe pair id -> moves in the row last placed for its knowledge set
     rows: dict = {}  # (knowledge-set id, action id) -> {safe pair id: moves}
-    view = MdpView(range(len(masks) * n_v), n.initial, prod)
+    view = MdpView(range(len(masks) * len(n.obs)), n.initial, prod)
     safe: set = set()  # the safe pairs of the knowledge sets in `levels`
     levels: list = []  # per assigned knowledge set, in table order, its row
-
-    def row(b: int, a: int) -> dict:
-        base = {o: b2 * n_v for o, b2 in post[(b, a)].items()}
-        return {b * n_v + v: tuple([frozenset([base[obs[v2]] + v2 for v2 in support])
-                                    for support in moves[v * n_act + a]])
-                for v in _bits(masks[b] & ~target)}
 
     def refuted(table: dict) -> bool:
         key = next(reversed(table.items()))  # (deepest knowledge set, its action)
         if key not in rows:
-            rows[key] = row(*key)
+            rows[key] = _product_row(n, masks, post, *key)
         placed = rows[key]
         prod.update(placed)
         while len(levels) >= len(table):  # the parent was the last table checked at its depth
@@ -552,6 +575,23 @@ def _search_belief_table(n: NumberedGame, masks: list, post: dict):
     refuted = _table_refuter(n, masks, post)
     tables = _closed_tables(0, post, range(len(n.g.actions)), refuted)
     return next(tables, None)  # never resumed, so the live table stays as found
+
+
+def _first_descent(n: NumberedGame, cap: int) -> ObservationStrategy | None:
+    """The search's first leaf, checked once: the first closed table of
+    `_closed_tables`, action id 0 at every knowledge set it reaches, built
+    breadth-first against `cap` on only those sets.  One end-component decomposition of
+    the safe pairs of its `_product_row`s is the refuter's predicate on a
+    closed table.  A winning table has no refuted prefix, so it is the one
+    the search returns; it comes back as a named strategy, or None.
+    """
+    post, prod = _KnowledgeSets(n, cap), {}
+    for b, _ in enumerate(post.masks):  # breadth-first: the row's lookup grows masks
+        prod.update(_product_row(n, post.masks, post, b, 0))
+    view = MdpView(range(len(post.masks) * len(n.obs)), n.initial, prod)
+    if mec_decomposition(view, within=frozenset(prod)):
+        return None
+    return _named_strategy(n, post.masks, dict.fromkeys(range(len(post.masks)), 0), post)
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +667,13 @@ def solve_imperfect_buchi(
     is one, but the call does not check it: the tests, the crosscheck
     suite and the probes check the strategies it returns, and
     `check_emptiness` checks the witness tree it ships by membership.  The
-    game is numbered once.  The full-information refutation runs first, so
-    it needs no knowledge sets; the sure-winning short-cut and the search
-    then run on knowledge-set masks and ids.
+    game is numbered once.  The routes run in turn: the full-information
+    refutation, which needs no knowledge sets; the first descent, the
+    search's first leaf checked once, not a second search; when it loses,
+    the full exploration with the sure-winning short-cut; then the search.
+    A winning descent builds only the knowledge sets it reaches, so a
+    non-empty game can be decided within a `belief_cap` its full
+    exploration exceeds.
     """
     target = frozenset(target)
     if not target:
@@ -637,6 +681,9 @@ def solve_imperfect_buchi(
     n = number_game(g, target)
     if not _wins_full_information(n):
         return False, None
+    strat = _first_descent(n, belief_cap)
+    if strat is not None:
+        return True, strat
     masks, post = reachable_beliefs(n, belief_cap)
     table = _sure_belief_strategy(n, masks, post)
     if table is None:

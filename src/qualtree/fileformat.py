@@ -40,6 +40,7 @@ canonical form.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -426,9 +427,9 @@ def serialize_strategy(s) -> str:
     update rows keyed by observation and action tokens."""
     mem_id = {m: f"m{i}" for i, m in enumerate(s.memory)}
 
+    @functools.cache  # a strategy plays few actions on many rows
     def act_token(a) -> str:
-        body = ";".join(f"{q}:{p[0]}:{p[1]}" for q, p in a.choice.assign)
-        return f"{a.symbol}|{body}" if body else f"{a.symbol}|"
+        return f"{a.symbol}|" + ";".join(f"{q}:{p[0]}:{p[1]}" for q, p in a.choice.assign)
 
     out = ["strategy", "memory " + " ".join(mem_id[m] for m in s.memory)]
     out.append(f"init {mem_id[s.init_memory]}")

@@ -34,9 +34,11 @@ from qualtree.emptiness import (
     solve_imperfect_buchi,
     _bits,
     _closed_tables,
+    _first_descent,
     _full_information_arena,
     _materialize,
     _named_beliefs,
+    _named_strategy,
     _reached,
     _search_belief_table,
     _sure_belief_strategy,
@@ -54,6 +56,7 @@ from qualtree.gallery import (
 from qualtree.suite import (
     random_alternating_buchi,
     random_regular_tree,
+    with_memory_bit,
 )
 from arena_oracles import _as_buchi_core as set_as_buchi_core, named_full_information_arena
 from draws import random_imperfect_arena
@@ -265,10 +268,13 @@ def test_membership_check_stops_a_wrong_nonempty_verdict(monkeypatch):
     """The solver does not re-check its own strategy, so the membership
     check of the extracted tree is what stops a losing table: here the
     search is made to return the first closed table of a game whose
-    language is empty, though its full-information relaxation is won."""
+    language is empty, though its full-information relaxation is won.  The
+    first descent runs before the search and checks that same table, so it
+    loses here and the patched search is still reached."""
     aut, core = contradictory_uniformity_automaton()
     game, target = build_emptiness_game(aut, core)
-    assert _wins_full_information(number_game(game, target))
+    n = number_game(game, target)
+    assert _wins_full_information(n) and _first_descent(n, 2**18) is None
 
     def first_table(n, masks, post):
         return dict(next(_closed_tables(0, post, range(len(n.g.actions)))))
@@ -377,6 +383,43 @@ def test_resource_guard_is_a_distinct_outcome():
     game, target = build_emptiness_game(aut, final)
     with pytest.raises(ResourceLimit):
         reachable_beliefs(number_game(game, target), cap=2)
+
+
+def _limit(fn, *args):
+    """The (what, bound) of the ResourceLimit `fn(*args)` raises, or None."""
+    try:
+        fn(*args)
+    except ResourceLimit as e:
+        return e.what, e.bound
+    return None
+
+
+def test_a_won_descent_needs_only_the_knowledge_sets_it_reaches():
+    """Below the knowledge sets it reaches, the first descent raises the
+    ResourceLimit the full exploration raises at that cap.  When it wins
+    with fewer sets than the full exploration, a cap between the two counts
+    gives "nonempty", with a witness that membership accepts."""
+    rng = random.Random(61)
+    decided = 0
+    for _ in range(80):
+        aut, final = random_alternating_buchi(rng, max_states=4)
+        game, target = build_emptiness_game(aut, final)
+        n = number_game(game, target)
+        if not target or not _wins_full_information(n):
+            continue
+        full = len(reachable_beliefs(n, 10_000)[0])
+        cap = 1
+        while limit := _limit(_first_descent, n, cap):
+            assert limit == _limit(reachable_beliefs, n, cap) == ("reachable knowledge sets", cap)
+            cap += 1
+        if cap == full or _first_descent(n, cap) is None:
+            continue
+        assert _limit(reachable_beliefs, n, cap) == ("reachable knowledge sets", cap)
+        result = check_emptiness(aut, final, belief_cap=cap)
+        assert result.kind == "nonempty"
+        assert qualitative_membership(aut, buchi(final), result.witness)
+        decided += 1
+    assert decided > 15
 
 
 def test_belief_exploration_is_observation_pure():
@@ -827,3 +870,65 @@ def test_deepest_set_refuter_matches_the_whole_product_search():
         cut += sum(verdict for _, verdict in runs[0][0])
         found += isinstance(runs[0][1], dict)
     assert visited > 1000 and 100 < cut < visited and found > 20
+
+
+# ---------------------------------------------------------------------------
+# The first descent: the search's first leaf, checked once on the knowledge
+# sets it reaches, against the search on the full exploration.
+# ---------------------------------------------------------------------------
+
+
+def _descent_games(seed, count):
+    """(game, target, numbered game) for seeded automata, arenas and the
+    one-bit memory products of arenas whose full-information relaxation is
+    won and whose knowledge sets number at most 400."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            game, target = build_emptiness_game(*random_alternating_buchi(rng, max_states=4))
+        elif kind == 1:
+            game, target = random_imperfect_arena(rng, max_vertices=5, max_actions=3)
+        else:
+            game, target = with_memory_bit(*random_imperfect_arena(rng, max_vertices=3,
+                                                                   max_actions=2))
+        n = number_game(game, target)
+        if not target or not _wins_full_information(n):
+            continue
+        try:
+            reachable_beliefs(n, 400)
+        except ResourceLimit:
+            continue
+        out.append((game, frozenset(target), n))
+    return out
+
+
+def test_first_descent_is_the_searchs_first_leaf():
+    """The descent wins exactly when the first closed table of the unpruned
+    search passes the exact check, and then returns the search's strategy;
+    when it loses, the solver returns what the full exploration, the sure
+    short-cut and the search give, a strategy or, on the contradictory
+    automaton, "empty"."""
+    won = lost = rescued = 0
+    empty = build_emptiness_game(*contradictory_uniformity_automaton())
+    for game, target, n in [(*empty, number_game(*empty))] + _descent_games(113, 300):
+        masks, post = reachable_beliefs(n, 400)
+        first = dict(next(_closed_tables(0, post, range(len(game.actions)))))
+        first_wins = check_observation_strategy(game, target,
+                                                _named_strategy(n, masks, first, post))
+        strat = _first_descent(n, 400)
+        assert (strat is not None) == first_wins
+        if strat is not None:
+            assert strat == _named_strategy(n, masks, _search_belief_table(n, masks, post), post)
+            assert solve_imperfect_buchi(game, target) == (True, strat)
+            won += 1
+        else:
+            table = _sure_belief_strategy(n, masks, post)
+            if table is None:
+                table = _search_belief_table(n, masks, post)
+            old = (False, None) if table is None else (True, _named_strategy(n, masks, table, post))
+            assert solve_imperfect_buchi(game, target) == old
+            lost += 1
+            rescued += old[0]
+    assert won > 200 and lost > 20 and 0 < rescued < lost

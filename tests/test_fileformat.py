@@ -177,3 +177,39 @@ def test_strategy_table_layout():
     assert lines[1].startswith("memory ") and lines[2].startswith("init ")
     assert any(ln.startswith("act ") for ln in lines)
     assert any(ln.startswith("update ") for ln in lines)
+
+
+def _reference_serialize_strategy(s) -> str:
+    """`serialize_strategy` as it was before it built each action's token
+    once per call."""
+    mem_id = {m: f"m{i}" for i, m in enumerate(s.memory)}
+
+    def act_token(a) -> str:
+        body = ";".join(f"{q}:{p[0]}:{p[1]}" for q, p in a.choice.assign)
+        return f"{a.symbol}|{body}" if body else f"{a.symbol}|"
+
+    out = ["strategy", "memory " + " ".join(mem_id[m] for m in s.memory)]
+    out.append(f"init {mem_id[s.init_memory]}")
+    for (m, o), a in sorted(s.act.items(), key=lambda kv: (mem_id[kv[0][0]], str(kv[0][1]))):
+        out.append(f"act {mem_id[m]} {o} {act_token(a)}")
+    for (m, o, a), m2 in sorted(
+        s.update.items(), key=lambda kv: (mem_id[kv[0][0]], str(kv[0][1]), act_token(kv[0][2]))
+    ):
+        out.append(f"update {mem_id[m]} {o} {act_token(a)} {mem_id[m2]}")
+    return "\n".join(out) + "\n"
+
+
+def test_strategy_text_matches_the_reference_serializer():
+    from qualtree.emptiness import build_emptiness_game, solve_imperfect_buchi
+    from qualtree.suite import random_alternating_buchi
+
+    rng = random.Random(31)
+    compared = bodiless = 0
+    while compared < 40:
+        game, target = build_emptiness_game(*random_alternating_buchi(rng, max_states=4))
+        verdict, strat = solve_imperfect_buchi(game, target)
+        if verdict:
+            assert serialize_strategy(strat) == _reference_serialize_strategy(strat)
+            compared += 1
+            bodiless += not game.actions[0].choice.assign  # no protagonist state
+    assert bodiless
