@@ -13,8 +13,11 @@ automaton, which keeps its state on both children half the time, on a
 fork of depth 1 or 2 with two unreachable nodes, and on the fork's mirror
 image: a mix-up of the two children then changes verdicts.  Each case is
 decided again with one transition row removed: the mask route must stop
-with the reference's missing-row error, or neither may stop.  Each
-disagreement is printed on its own line, and any makes the exit code 4.
+with the reference's missing-row error, or neither may stop.  The word
+automaton and both of its lifts are also written with
+`serialize_automaton` and read back with `parse_automaton`: the rows read
+back must equal the drawn ones.  Each disagreement is printed on its own
+line, and any makes the exit code 4.
 
 Usage: python scripts/chain_probe.py [SEED] [COUNT] [MAX_STATES] [MAX_NODES]
 """
@@ -26,6 +29,7 @@ import time
 
 from qualtree.automata import BUCHI, COBUCHI, Alphabet, ProbTreeAutomaton
 from qualtree.dist import Distribution
+from qualtree.fileformat import parse_automaton, serialize_automaton
 from qualtree.markov import (
     as_verdict,
     lasso_membership_word,
@@ -100,6 +104,11 @@ def without_a_row(rng, a):
     return type(a)(a.alphabet, a.states, a.initial, delta)
 
 
+def read_back(a):
+    """a written out as text and parsed again."""
+    return parse_automaton(serialize_automaton(a)).automaton
+
+
 def by_chain(build):
     """Decide by the bottom SCCs of the chain that `build` makes."""
     return lambda a, final, x, kind: as_verdict(build(a, final, x), kind)
@@ -122,9 +131,17 @@ def main() -> int:
     rng = random.Random(seed)
     t0 = time.monotonic()
     members, stopped, compared, bad, mirrored = collections.Counter(), 0, 0, 0, 0
+    texts = 0
     for i in range(count):
         wanted = []
         for decide, build, aut, marked, x in cases(rng, max_states, max_nodes):
+            if decide is lasso_membership_word:  # the draw's word automaton
+                for b in (aut, lift_diagonal(aut), lift_swap(aut)):
+                    texts += 1
+                    if read_back(b).delta != b.delta:
+                        print(f"draw {i}: the rows of a {type(b).__name__} change "
+                              f"when written out and read back")
+                        bad += 1
             broken, reference = without_a_row(rng, aut), by_chain(build)
             for kind in (BUCHI, COBUCHI):
                 compared += 1
@@ -147,7 +164,7 @@ def main() -> int:
     print(f"{count} draws in {elapsed:.1f}s: {compared} verdicts compared "
           f"({members[BUCHI]} Büchi and {members[COBUCHI]} co-Büchi members), "
           f"{stopped} stopped by a removed row, {mirrored} forks whose verdict mirroring "
-          f"changes, {bad} disagreements")
+          f"changes, {texts} automata read back from text, {bad} disagreements")
     return 0 if not bad else 4
 
 

@@ -226,11 +226,13 @@ def split_form(d: Distribution) -> tuple[str, str] | None:
     Point masses count as the q1 == q2 case; the pair is returned in
     canonical order.
     """
-    sup = csorted(d.support())
-    if len(sup) == 1 and d[sup[0]] == 1:
-        return (sup[0], sup[0])
-    if len(sup) == 2 and d[sup[0]] == HALF and d[sup[1]] == HALF:
-        return (sup[0], sup[1])
+    if len(d) == 1:
+        (x,) = d
+        return (x, x) if d[x] == 1 else None
+    if len(d) == 2:
+        x, y = csorted(d)
+        if d[x] == HALF and d[y] == HALF:
+            return (x, y)
     return None
 
 

@@ -1,10 +1,13 @@
 """Finite-support weight maps with exact rational entries.
 
 A ``Distribution`` merges like terms and drops zero weights on
-construction.  Construction does not force the mass to be 1: validation
-reports a bad mass as a data problem, and the operations that require a
-probability call :meth:`require_probability` up front.  Floats are
-rejected outright so no verdict can silently depend on rounding.
+construction.  A weight that is already a ``Fraction`` is kept as it is,
+and any other weight (an ``int``, a ``"p/q"`` string) is converted once
+through :func:`exact`; weights are added only for an outcome given twice.
+Construction does not force the mass to be 1: validation reports a bad
+mass as a data problem, and the operations that require a probability
+call :meth:`require_probability` up front.  Floats are rejected outright
+so no verdict can silently depend on rounding.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Iterable, Mapping
 
 from qualtree.ordering import ckey
 
+_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
@@ -32,12 +36,17 @@ class Distribution:
         items = weights.items() if isinstance(weights, Mapping) else weights
         acc: dict = {}
         for x, w in items:
-            w = exact(w)
-            if w < 0:
-                raise ValueError(f"negative weight {w} for {x!r}")
-            if w == 0:
+            if type(w) is not Fraction:
+                w = exact(w)
+            n = w.numerator
+            if n <= 0:
+                if n:
+                    raise ValueError(f"negative weight {w} for {x!r}")
                 continue
-            acc[x] = acc.get(x, Fraction(0)) + w
+            if x in acc:
+                acc[x] += w
+            else:
+                acc[x] = w
         self._w = acc
 
     @classmethod
@@ -59,7 +68,7 @@ class Distribution:
         return cls._trusted({x: _ONE} if x == y else {x: _HALF, y: _HALF})
 
     def mass(self) -> Fraction:
-        return sum(self._w.values(), Fraction(0))
+        return sum(self._w.values(), _ZERO)
 
     def is_probability(self) -> bool:
         return self.mass() == 1
@@ -80,7 +89,7 @@ class Distribution:
         return Distribution([(fn(x), w) for x, w in self._w.items()])
 
     def __getitem__(self, x) -> Fraction:
-        return self._w.get(x, Fraction(0))
+        return self._w.get(x, _ZERO)
 
     def __contains__(self, x) -> bool:
         return x in self._w

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,16 +72,17 @@ def _token(t: str) -> str:
     return t
 
 
+# A weight token: ASCII digits, an optional "/" and ASCII denominator digits.
+# A leading "-" is read so that a negative weight is reported as one.
+_WEIGHT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rat(text: str) -> Fraction:
-    """A weight: a non-negative rational."""
-    try:
-        if "/" in text:
-            n, d = text.split("/", 1)
-            x = Fraction(int(n), int(d))
-        else:
-            x = Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(f"bad rational {text!r}") from e
+    """A weight: a non-negative rational written ``n`` or ``n/d``."""
+    m = _WEIGHT.fullmatch(text)
+    if m is None or m[2] is not None and not int(m[2]):
+        raise FormatError(f"bad rational {text!r}")
+    x = Fraction(int(m[1]), int(m[2] or 1))
     if x < 0:
         raise FormatError(f"negative weight {text!r}")
     return x
@@ -125,13 +127,16 @@ def parse_automaton(text: str) -> LoadedAutomaton:
     trans: set = set()
     ltrans: set = set()
     pdelta: dict = {}
+    weight_of: dict = {}  # weight token -> Fraction; rows repeat a few weights
 
     def dist_pairs(toks, stride):
         if len(toks) % stride != 0 or not toks:
             raise FormatError(f"bad probabilistic row: {' '.join(toks)}")
         items = []
         for i in range(0, len(toks), stride):
-            p = _rat(toks[i])
+            p = weight_of.get(toks[i])
+            if p is None:
+                p = weight_of[toks[i]] = _rat(toks[i])
             if stride == 2:
                 items.append((toks[i + 1], p))
             else:

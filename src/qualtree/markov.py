@@ -129,8 +129,9 @@ def _place_verdict(a, final, labels, left, right, root, pairs, kind: str) -> boo
     for (q, s), d in a.delta.items():
         k = symbols.get(s)
         if k is not None:
-            has[k] |= b(q)
-            rows[k] += [(b(q), b(q0), b(q1)) for q0, q1 in pairs(d)]
+            bq = b(q)
+            has[k] |= bq
+            rows[k] += [(bq, b(q0), b(q1)) for q0, q1 in pairs(d)]
     sym = [symbols[s] for s in labels]
     game = (rows, sym, left, right, nodegraph.parents(left, right))
     start = [0] * len(sym)
@@ -158,7 +159,7 @@ def _lasso_places(w: UltimatelyPeriodicWord) -> tuple:
     i + 1 or, at the end of the lasso, the first position of its period."""
     k, n = len(w.prefix), len(w)
     nxt = [i + 1 for i in range(n - 1)] + [k]
-    return w.take(n), nxt, nxt, 0
+    return w.prefix + w.period, nxt, nxt, 0
 
 
 def word_chain(a: ProbWordAutomaton, final: frozenset, w: UltimatelyPeriodicWord) -> Chain:

@@ -24,11 +24,13 @@ def tree_places(t) -> tuple:
 
 
 def parents(left: list, right: list) -> list:
-    """Per place, the distinct places that have it as a child."""
+    """Per place, the distinct places that have it as a child, in
+    ascending order."""
     out: list = [[] for _ in left]
-    for p, children in enumerate(zip(left, right)):
-        for c in set(children):
-            out[c].append(p)
+    for p, (l, r) in enumerate(zip(left, right)):
+        out[l].append(p)
+        if r != l:
+            out[r].append(p)
     return out
 
 
@@ -102,10 +104,16 @@ def forward(game: tuple, start: list) -> list:
                     l |= b0
                     r |= b1
             image = image_of[key] = (l, r)
-        for c, add in zip((left[n], right[n]), image):
-            if add & ~reach[c]:
-                reach[c] |= add
-                if not queued[c]:
-                    queued[c] = 1
-                    work.append(c)
+        add, c = image[0], left[n]
+        if add & ~reach[c]:
+            reach[c] |= add
+            if not queued[c]:
+                queued[c] = 1
+                work.append(c)
+        add, c = image[1], right[n]
+        if add & ~reach[c]:
+            reach[c] |= add
+            if not queued[c]:
+                queued[c] = 1
+                work.append(c)
     return reach

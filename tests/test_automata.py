@@ -3,22 +3,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qualtree.acceptance import build_acceptance_game, qualitative_membership
 from qualtree.automata import (
+    HALF,
     Alphabet,
     AlternatingTreeAutomaton,
     ProbWordAutomaton,
     TreeAutomaton,
     cobuchi,
     is_simple,
+    split_form,
     universal_to_alternating,
     validate,
 )
-from qualtree.dist import Distribution
+from qualtree.dist import Distribution, exact
 from qualtree.games import number
 from qualtree.markov import as_verdict
+from qualtree.ordering import csorted
 from qualtree.reductions import sharp_gadget, sharps_automaton
 from qualtree.suite import random_regular_tree, random_simple_pwa, random_alternating_buchi
 from weighted_chains import explore
@@ -45,6 +48,102 @@ def test_trusted_builders_equal_the_validated_construction(x, y):
     assert d == half and hash(d) == hash(half)
     assert d.require_probability() is d and list(d) == list(dict.fromkeys([x, y]))
     assert Distribution.point(x) == Distribution({x: 1})
+
+
+def reference_weights(items) -> dict:
+    """The weight map as the construction loop built it when every weight
+    went through `exact` and every sum started from ``Fraction(0)``."""
+    acc: dict = {}
+    for x, w in items:
+        w = exact(w)
+        if w < 0:
+            raise ValueError(f"negative weight {w} for {x!r}")
+        if w == 0:
+            continue
+        acc[x] = acc.get(x, Fraction(0)) + w
+    return acc
+
+
+def built(make, items):
+    """The (outcome, weight, weight type) list of the map that
+    ``make(items)`` gives, in key order, or the type and message of what
+    it raised."""
+    try:
+        d = make(items)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return [(x, d[x], type(d[x])) for x in d]
+
+
+OUTCOMES = st.one_of(st.sampled_from(["q0", "q1", "q2"]),
+                     st.tuples(st.sampled_from(["q0", "q1"]), st.sampled_from(["q0", "q1"])))
+EXACT_WEIGHTS = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.fractions(min_value=0, max_value=2, max_denominator=6),
+    st.builds("{}/{}".format, st.integers(min_value=0, max_value=5),
+              st.integers(min_value=1, max_value=6)),
+)
+BAD_WEIGHTS = st.one_of(
+    st.integers(min_value=-3, max_value=-1),
+    st.fractions(max_value=Fraction(-1, 6), max_denominator=6),
+    st.builds("-{}/{}".format, st.integers(min_value=1, max_value=5),
+              st.integers(min_value=1, max_value=6)),
+    st.floats(min_value=0, max_value=1),
+)
+
+
+@given(st.lists(st.tuples(OUTCOMES, EXACT_WEIGHTS), max_size=8))
+@example([("q1", 0), ("q0", Fraction(1, 2)), ("q1", "1/4"), ("q0", 0), ("q1", 1)])
+def test_distribution_construction_equals_the_reference_loop(items):
+    """Zeros dropped, repeats summed, each key placed where its first
+    non-zero weight stands, every weight a `Fraction`; from a list and
+    from a mapping."""
+    assert built(Distribution, items) == built(reference_weights, items)
+    as_map = dict(items)
+    assert built(Distribution, as_map) == built(reference_weights, as_map.items())
+
+
+@given(st.lists(st.tuples(OUTCOMES, EXACT_WEIGHTS), max_size=6), st.data())
+def test_distribution_refuses_the_weights_the_reference_loop_refuses(items, data):
+    """A negative weight raises `ValueError` with the reference's message
+    and a float raises `TypeError`, wherever it stands in the list."""
+    bad = (data.draw(OUTCOMES), data.draw(BAD_WEIGHTS))
+    at = data.draw(st.integers(min_value=0, max_value=len(items)))
+    items = items[:at] + [bad] + items[at:]
+    got = built(Distribution, items)
+    assert got == built(reference_weights, items)
+    assert got[0] is (TypeError if isinstance(bad[1], float) else ValueError)
+
+
+def reference_split_form(d: Distribution):
+    """`split_form` as it read the support: sorted, then indexed."""
+    sup = csorted(d.support())
+    if len(sup) == 1 and d[sup[0]] == 1:
+        return (sup[0], sup[0])
+    if len(sup) == 2 and d[sup[0]] == HALF and d[sup[1]] == HALF:
+        return (sup[0], sup[1])
+    return None
+
+
+ROW_WEIGHTS = st.sampled_from([Fraction(1), HALF, Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)])
+
+
+@given(st.lists(st.tuples(OUTCOMES, ROW_WEIGHTS), min_size=1, max_size=3,
+                unique_by=lambda xw: xw[0]))
+@example([("q1", 1)])
+@example([(("q1", "q0"), 1)])
+@example([("q1", HALF)])
+@example([("q1", Fraction(2))])
+@example([("q1", HALF), ("q0", HALF)])
+@example([(("q1", "q0"), HALF), (("q0", "q1"), HALF)])
+@example([("q1", Fraction(1, 3)), ("q0", Fraction(2, 3))])
+@example([("q2", Fraction(1, 3)), ("q1", Fraction(1, 3)), ("q0", Fraction(1, 3))])
+@example([(("q1", "q1"), HALF), ("q0", HALF)])
+def test_split_form_equals_the_reference_formula(row):
+    """Point masses of weight 1 and of other weights, even, uneven and
+    three-outcome rows, over state names and over state pairs."""
+    d = Distribution(row)
+    assert split_form(d) == reference_split_form(d)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6))

@@ -117,6 +117,14 @@ def test_malformed_inputs_raise_format_errors():
         parse_word("word a b\n")  # missing separator bar
     with pytest.raises(FormatError):
         parse_tree("tree\nroot n0\n")
+    # weights are ASCII "n" or "n/d": no sign, underscore or other digits
+    for token in ("1_0", "+1", "1/+2", "\uff11", "1/\uff12", "\u0661", "1/0", "1/", "/2", "1/2/3"):
+        with pytest.raises(FormatError, match="bad rational"):
+            parse_automaton(f"kind prob-word\nalphabet a\nstates q\ninitial q\nptrans q a {token} q\n")
+        with pytest.raises(FormatError, match="bad rational"):
+            parse_arena(f"arena\ninit v\nvertex v random\nedge v v {token}\n")
+    with pytest.raises(FormatError, match="negative weight"):
+        parse_automaton("kind prob-word\nalphabet a\nstates q\ninitial q\nptrans q a -1/2 q\n")
     # a wrong total mass parses fine and is reported by validation instead
     from qualtree.automata import validate
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qualtree import nodegraph
 from qualtree.automata import BUCHI, COBUCHI, Alphabet, ProbTreeAutomaton
 from qualtree.dist import Distribution
 from qualtree.markov import (
@@ -437,6 +438,19 @@ def test_qualitative_verdicts_depend_only_on_support():
         m2 = MarkovChain(m.states, m.initial, reweighted, m.marked)
         for kind in ("buchi", "cobuchi"):
             assert as_verdict(support_chain(m), kind) == as_verdict(support_chain(m2), kind)
+
+
+def test_parents_lists_each_parent_once_in_ascending_order():
+    """A parent listed twice changes no verdict (the worklists' `queued`
+    flags absorb it), so the lists are checked directly, on place graphs
+    with places whose two children coincide and with self-loops."""
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        left = [rng.randrange(n) if rng.random() < 0.8 else p for p in range(n)]
+        right = [left[p] if rng.random() < 0.4 else rng.randrange(n) for p in range(n)]
+        want = [[p for p in range(n) if c in (left[p], right[p])] for c in range(n)]
+        assert nodegraph.parents(left, right) == want
 
 
 def test_verdict_rejects_unknown_kind():
