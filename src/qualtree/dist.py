@@ -12,8 +12,8 @@ so no verdict can silently depend on rounding.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from qualtree.ordering import ckey
 

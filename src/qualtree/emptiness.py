@@ -13,23 +13,29 @@ into a regular witness tree.
 Strategy semantics here is the normative anchor: a pure strategy with
 knowledge-set memory either passes or fails the exact product check
 `check_observation_strategy`.  The solver searches that strategy space
-directly, on the game numbered once (`number_game`), where a knowledge set
-is an int bitmask of vertex ids and its post under an action is the OR of
-its members' successor masks, split by observation class, computed the
-first time it is looked up.  The routes run in this order: a
-full-information upper bound, an integer `games.Arena` solved before any
-knowledge set is explored; the first descent, which checks the search's
-first leaf (action 0 at every knowledge set it reaches) once, on only the
-knowledge sets it reaches, and is not a second search; when it loses, the
-full exploration with a sure-winning lower bound on the knowledge-set
-game; then the search.  The search keeps its breadth-first frontier on its trail and refutes each
-partial table by the end components of its product with the knowledge
-sets, made of rows built once per (knowledge set, action).  The table
-without its deepest set was not refuted, so only a component through that
-set is sought.  All of this runs on supports, since a refutation only asks
-whether a target-free end component exists; the arena itself holds only
-supports, as no verdict reads a weight.  Names come back at the edge: a
-winning table becomes a strategy on knowledge sets of vertex names.  The
+directly, on ids.  A request numbers the game once, straight from the
+automaton's sorted rows (`number_emptiness_game`); `number_game` numbers a
+general named arena the same way, and `build_emptiness_game` is the naming
+of the id game, for the oracle, the strategy check and the probes.  A
+knowledge set is an int bitmask of vertex ids, and its post under an
+action is the OR of its members' successor masks, split by observation
+class, computed the first time it is looked up.  The routes run in this
+order: a full-information upper bound, an integer `games.Arena` solved
+before any knowledge set is explored; the first descent, which checks the
+search's first leaf (action 0 at every knowledge set it reaches) once, on
+only the knowledge sets it reaches, and is not a second search; when it
+loses, the full exploration with a sure-winning lower bound on the
+knowledge-set game; then the search, which keeps its breadth-first
+frontier on its trail.  The descent and each step of the search ask one
+question: does a target-free end component exist in the product of the
+game with the table's knowledge sets?  `_closed_core` answers it without
+building the product: per knowledge set a vertex mask, from which a vertex
+drops when none of its moves stays inside its children's masks, run as a
+worklist over knowledge sets.  The table without its deepest set was not
+refuted, so the search takes the core only on the sets reached from that
+set.  All of this runs on supports, as no verdict reads a weight.  Names
+come back once, at the edge: a winning table becomes a strategy on
+knowledge sets of vertex names in one walk over the sets it reaches.  The
 solver does not re-check it; the tests, the crosscheck suite and the
 probes run `check_observation_strategy` on the strategies it returns, and
 `check_emptiness` decides the witness tree it ships by membership.  The
@@ -60,9 +66,7 @@ from qualtree.games import (
     _as_buchi_core,
     _positive_cobuchi_view,
     almost_sure_buchi,
-    mec_decomposition,
 )
-from qualtree.graphs import reachable
 from qualtree.ordering import ckey, csorted
 from qualtree.trees import RegularTree
 
@@ -150,55 +154,24 @@ def build_emptiness_game(
 
     Vertices are (state, last direction) plus a fresh root; all vertices
     with the same direction are indistinguishable.  Actions pair a tree
-    symbol with a local choice for every protagonist state.
+    symbol with a local choice for every protagonist state.  This is the
+    naming of `number_emptiness_game`, for the callers that take a named
+    arena: the enumeration oracle, the strategy check and the probes.
     """
-    rows: dict = {(q, s): [] for q in a.states for s in a.alphabet}
-    for t in a.transitions:
-        if (t[0], t[1]) in rows:
-            rows[(t[0], t[1])].append(t)
-    for (q, s), ts in rows.items():
-        if not ts:
-            raise FormatError(f"no transition for state {q} on symbol {s}")
-        rows[(q, s)] = csorted(ts)  # as `a.rows(q, s)` lists them
-
-    e_states = csorted(a.eloise)
-    n_actions = 0
-    for s in a.alphabet:
-        count = 1
-        for q in e_states:
-            count *= len(rows[(q, s)])
-        n_actions += count
-    if n_actions > action_cap:
-        raise ResourceLimit("action set size", action_cap)
-
-    # a coin flip sends the left target to direction 0, the right one to 1;
-    # an opponent state's row on a symbol is the same for every action
-    theirs = {(q, s): tuple(((q0, "0"), (q1, "1")) for (_, _, q0, q1) in rows[(q, s)])
-              for q in a.states if q not in a.eloise for s in a.alphabet}
-    actions = []
-    mine: list = []  # per action, {protagonist state: its one move}
-    for s in a.alphabet:
-        for combo in itertools.product(*(rows[(q, s)] for q in e_states)):
-            targets = tuple((q, (t[2], t[3])) for q, t in zip(e_states, combo))
-            actions.append(EmptinessAction(s, LocalChoice(targets)))
-            mine.append({q: (((q0, "0"), (q1, "1")),) for q, (q0, q1) in targets})
-
-    root = (a.initial, EPS_OBS)
-    vertices = [root] + [(q, d) for q in csorted(a.states) for d in DIRECTIONS]
-    obs = {v: v[1] for v in vertices}
+    n = number_emptiness_game(a, final, action_cap)
+    names, n_a = n.vertices, len(n.actions)
     trans: dict = {}
-    for v in vertices:
-        q = v[0]
-        for act, own in zip(actions, mine):
-            trans[(v, act)] = own[q] if q in own else theirs[(q, act.symbol)]
-
-    # valid by construction: every row was checked non-empty above
+    for v, name in enumerate(names):
+        for i, act in enumerate(n.actions):
+            trans[(name, act)] = tuple(tuple(names[w] for w in support)
+                                       for support in n.moves[v * n_a + i])
+    # valid by construction: every row was checked non-empty
     arena = ImperfectInfoArena._trusted(
-        vertices=tuple(vertices),
-        initial=root,
-        actions=tuple(actions),
+        vertices=names,
+        initial=names[n.initial],
+        actions=n.actions,
         trans=trans,
-        obs=obs,
+        obs={v: n.observations[o] for v, o in zip(names, n.obs)},
     )
     target = frozenset((q, d) for q in final for d in DIRECTIONS)
     return arena, target
@@ -277,14 +250,16 @@ def check_observation_strategy(
 # ---------------------------------------------------------------------------
 
 
-class NumberedGame(namedtuple("NumberedGame", "g initial obs observations classes moves post target")):
-    """An `ImperfectInfoArena` `g` with its target, numbered once.
+class NumberedGame(namedtuple("NumberedGame",
+                              "vertices actions initial obs observations classes moves post target")):
+    """An imperfect-information game with its target, numbered once.
 
-    Vertex ids follow `g.vertices`, action ids `g.actions`, and observation
-    codes the canonical order of the observations.  A set of vertices is an
+    Vertex ids index `vertices`, action ids `actions`, and observation
+    codes follow the canonical order of the observations.  A set of vertices is an
     int bitmask, bit v for vertex id v.  Entry v * |actions| + a of `moves`
     and `post` belongs to vertex id v under action id a.
 
+    - `vertices`, `actions`: the names of the ids;
     - `initial`: the initial vertex id;
     - `obs`: vertex id -> observation code;
     - `observations`: observation code -> observation;
@@ -300,17 +275,96 @@ class NumberedGame(namedtuple("NumberedGame", "g initial obs observations classe
 def number_game(g: ImperfectInfoArena, target) -> NumberedGame:
     """`g` and `target` numbered once; target vertices outside `g` are ignored."""
     vid = {v: i for i, v in enumerate(g.vertices)}
-    observations = tuple(csorted(set(g.obs.values())))
-    code = {o: i for i, o in enumerate(observations)}
-    obs = tuple(code[g.obs[v]] for v in g.vertices)
-    classes = tuple(_mask(v for v, c in enumerate(obs) if c == o) for o in range(len(observations)))
+    observations, obs, classes = _observations([g.obs[v] for v in g.vertices])
     moves = []
     for v in g.vertices:
         for a in g.actions:
             moves.append(tuple(tuple(vid[w] for w in support) for support in g.trans[(v, a)]))
     post = tuple(_mask(w for support in supports for w in support) for supports in moves)
-    return NumberedGame(g, vid[g.initial], obs, observations, classes, tuple(moves), post,
-                        _mask(vid[v] for v in target if v in vid))
+    return NumberedGame(g.vertices, g.actions, vid[g.initial], obs, observations, classes,
+                        tuple(moves), post, _mask(vid[v] for v in target if v in vid))
+
+
+def number_emptiness_game(a: AlternatingTreeAutomaton, final: frozenset,
+                          action_cap: int = 2**18) -> NumberedGame:
+    """The emptiness game numbered straight from the automaton's rows.
+
+    Vertex id 0 is the root (initial state, "e"); the state at index i of
+    the canonical state order is (state, "0") with id 2i + 1 and (state,
+    "1") with id 2i + 2.  Action ids list, symbol by symbol, the product of
+    the protagonist states' sorted rows.  A vertex's moves depend only on
+    its state, so each state's moves and post masks are made once and
+    shared by its vertices.
+    """
+    rows: dict = {(q, s): [] for q in a.states for s in a.alphabet}
+    for t in a.transitions:
+        if (t[0], t[1]) in rows:
+            rows[(t[0], t[1])].append(t)
+    for (q, s), ts in rows.items():
+        if not ts:
+            raise FormatError(f"no transition for state {q} on symbol {s}")
+        if len(ts) > 1:
+            rows[(q, s)] = csorted(ts)  # as `a.rows(q, s)` lists them
+
+    e_states = csorted(a.eloise)
+    n_actions = 0
+    for s in a.alphabet:
+        count = 1
+        for q in e_states:
+            count *= len(rows[(q, s)])
+        n_actions += count
+    if n_actions > action_cap:
+        raise ResourceLimit("action set size", action_cap)
+
+    states = csorted(a.states)
+    vid = {q: 2 * i + 1 for i, q in enumerate(states)}  # of (q, "0"); (q, "1") is next
+
+    def coin(t) -> tuple:  # the left target goes to direction 0, the right one to 1
+        return (vid[t[2]], vid[t[3]] + 1)
+
+    actions: list = []
+    moves: dict = {q: [] for q in states}  # state -> its moves under each action id
+    for s in a.alphabet:
+        first = len(actions)
+        for combo in itertools.product(*(rows[(q, s)] for q in e_states)):
+            actions.append(EmptinessAction(s, LocalChoice(
+                tuple((q, (t[2], t[3])) for q, t in zip(e_states, combo)))))
+            for q, t in zip(e_states, combo):
+                moves[q].append((coin(t),))
+        for q in states:  # an opponent state's row on a symbol is the same for every action
+            if q not in a.eloise:
+                moves[q] += [tuple(coin(t) for t in rows[(q, s)])] * (len(actions) - first)
+    post: dict = {}  # state -> its post masks under each action id
+    for q, row in moves.items():
+        post[q] = []
+        for supports in row:
+            mask = 0
+            for support in supports:
+                for w in support:
+                    mask |= 1 << w
+            post[q].append(mask)
+
+    vertices = tuple([(a.initial, EPS_OBS)] + [(q, d) for q in states for d in DIRECTIONS])
+    all_moves, all_post = list(moves[a.initial]), list(post[a.initial])
+    for q in states:
+        all_moves += moves[q] * 2  # (q, "0") and (q, "1")
+        all_post += post[q] * 2
+    observations, obs, classes = _observations([v[1] for v in vertices])
+    return NumberedGame(vertices, tuple(actions), 0, obs, observations, classes,
+                        tuple(all_moves), tuple(all_post),
+                        _mask(vid[q] + d for q in final if q in vid for d in (0, 1)))
+
+
+def _observations(per_vertex: list) -> tuple:
+    """From each vertex id's observation: the observations in canonical
+    order, each vertex id's code and each code's mask of vertices."""
+    observations = tuple(csorted(set(per_vertex)))
+    code = {o: i for i, o in enumerate(observations)}
+    obs = tuple([code[o] for o in per_vertex])
+    classes = [0] * len(observations)
+    for v, c in enumerate(obs):
+        classes[c] |= 1 << v
+    return observations, obs, tuple(classes)
 
 
 def _mask(ids) -> int:
@@ -347,16 +401,17 @@ class _KnowledgeSets(dict):
 
     def __init__(self, n: NumberedGame, cap: int):
         super().__init__()
-        self.n_a, self.step, self.classes, self.cap = len(n.g.actions), n.post, n.classes, cap
+        self.n_a, self.step, self.classes, self.cap = len(n.actions), n.post, n.classes, cap
         self.masks = [1 << n.initial]
         self.ids = {self.masks[0]: 0}
-        self.rows = [[n.initial * self.n_a]]  # per knowledge set, its members' entries
 
     def __missing__(self, key) -> dict:
         b, a = key
-        reach = 0
-        for r in self.rows[b]:
-            reach |= self.step[r + a]
+        n_a, step, reach, rest = self.n_a, self.step, 0, self.masks[b]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= step[(low.bit_length() - 1) * n_a + a]
         branches = {}
         for o, cls in enumerate(self.classes):
             m2 = reach & cls
@@ -367,7 +422,6 @@ class _KnowledgeSets(dict):
                         raise ResourceLimit("reachable knowledge sets", self.cap)
                     b2 = self.ids[m2] = len(self.masks)
                     self.masks.append(m2)
-                    self.rows.append([v * self.n_a for v in _bits(m2)])
                 branches[o] = b2
         self[key] = branches
         return branches
@@ -465,17 +519,23 @@ def _materialize(g: ImperfectInfoArena, assign: dict, post: dict) -> Observation
 
 def _named_strategy(n: NumberedGame, masks: list, table: dict, post: dict) -> ObservationStrategy:
     """A closed table on ids as an ObservationStrategy on knowledge sets of
-    vertex names: only the knowledge sets it reaches get their names back."""
-    g = n.g
-    reached, _ = _reached(0, table, post)
-    name = {b: frozenset(g.vertices[v] for v in _bits(masks[b])) for b in reached}
-    assign = {name[b]: g.actions[table[b]] for b in reached}
-    named = {
-        (name[b], g.actions[table[b]]):
-            {n.observations[o]: name[b2] for o, b2 in post[(b, table[b])].items()}
-        for b in reached
-    }
-    return _materialize(g, assign, named)
+    vertex names, made in one breadth-first walk over the knowledge sets it
+    reaches, as `_materialize` lists them: each gets its name once."""
+    reached = [0]
+    names = {0: frozenset(n.vertices[v] for v in _bits(masks[0]))}
+    act: dict = {}
+    update: dict = {}
+    for b in reached:  # breadth-first: reached grows while it is read
+        name, a = names[b], n.actions[table[b]]
+        act[(name, n.observations[n.obs[(masks[b] & -masks[b]).bit_length() - 1]])] = a
+        for o, b2 in post[(b, table[b])].items():
+            name2 = names.get(b2)
+            if name2 is None:
+                name2 = names[b2] = frozenset(n.vertices[v] for v in _bits(masks[b2]))
+                reached.append(b2)
+            update[(name, n.observations[o], a)] = name2
+    memory = tuple(names.values())
+    return ObservationStrategy(memory=memory, init_memory=memory[0], act=act, update=update)
 
 
 def _closed_tables(root, post: dict, actions, refuted=None):
@@ -517,16 +577,80 @@ def _closed_tables(root, post: dict, actions, refuted=None):
             return
 
 
-def _product_row(n: NumberedGame, masks: list, post: dict, b: int, a: int) -> dict:
-    """The row of knowledge set b under action a in the product of the game
-    with the knowledge sets: b's pairs outside the target mapped to their
-    moves as support sets of pair ids (only supports matter).  Pair
-    (vertex v, knowledge set b) has id b * |V| + v."""
-    n_act, n_v, obs, moves = len(n.g.actions), len(n.obs), n.obs, n.moves
-    base = {o: b2 * n_v for o, b2 in post[(b, a)].items()}
-    return {b * n_v + v: tuple([frozenset([base[obs[v2]] + v2 for v2 in support])
-                                for support in moves[v * n_act + a]])
-            for v in _bits(masks[b] & ~n.target)}
+def _keep(n: NumberedGame, a: int, z: int, u: int) -> int:
+    """The vertices of mask z with a move under action id a whose whole
+    support lies in mask u."""
+    n_a, post, moves = len(n.actions), n.post, n.moves
+    rest = z
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        e = (low.bit_length() - 1) * n_a + a
+        if post[e] & ~u:  # not every move stays: look for one that does
+            for support in moves[e]:
+                for w in support:
+                    if not u >> w & 1:
+                        break
+                else:
+                    break
+            else:
+                z ^= low
+    return z
+
+
+def _closed_core(n: NumberedGame, masks: list, post: dict, table: dict, root: int,
+                 memo: dict) -> bool:
+    """Whether a target-free end component lies in the product of the game
+    with the knowledge sets that `table` assigns and reaches from `root`.
+
+    Per knowledge set b of that region, a vertex mask Z_b starts as b's
+    vertices outside the target.  A vertex leaves Z_b when none of its moves
+    under b's action has its whole support in the Z of b's children; a
+    child outside the region has an empty Z.  The pairs (vertex v, set b)
+    with v in Z_b that remain form the greatest closed set of target-free
+    pairs.  It is non-empty exactly when an end component exists: a bottom
+    strongly connected part of its staying moves is one, and every end
+    component lies inside it.  The fixed point is a worklist over knowledge
+    sets; each evaluation is memoised in `memo` on (action, Z_b, the union
+    of the children's Z), which names its result.
+    """
+    region, index, kids = [root], {root: 0}, []
+    for b in region:  # breadth-first: region grows while it is read
+        out = []
+        for c in post[(b, table[b])].values():
+            if c in table:
+                i = index.get(c)
+                if i is None:
+                    i = index[c] = len(region)
+                    region.append(c)
+                out.append(i)
+        kids.append(out)
+    parents: list = [[] for _ in region]
+    for i, out in enumerate(kids):
+        for c in out:
+            parents[c].append(i)
+    z = [masks[b] & ~n.target for b in region]
+    work = list(range(len(region)))
+    waiting = bytearray([1]) * len(region)
+    while work:
+        i = work.pop()
+        waiting[i] = 0
+        if not z[i]:
+            continue
+        u = 0
+        for c in kids[i]:
+            u |= z[c]
+        key = (table[region[i]], z[i], u)
+        kept = memo.get(key)
+        if kept is None:
+            kept = memo[key] = _keep(n, *key)
+        if kept != z[i]:
+            z[i] = kept
+            for p in parents[i]:
+                if not waiting[p]:
+                    waiting[p] = 1
+                    work.append(p)
+    return any(z)
 
 
 def _table_refuter(n: NumberedGame, masks: list, post: dict):
@@ -534,34 +658,18 @@ def _table_refuter(n: NumberedGame, masks: list, post: dict):
     target-free end component of pairs whose knowledge set the table assigns
     survives every completion.
 
-    The `_product_row` of each (knowledge set, action) is built once per
-    search.  `_closed_tables` assigns only knowledge sets reached under the
-    earlier assignments, so a table's product needs no walk: it is the rows
-    of its assigned sets, and on a closed table the predicate is exactly
-    "the table loses".  By its invariant, the table without its deepest
-    set b, the dict's last key, was not refuted, so an end component, if
-    any, holds a safe pair of b.  Components are sought only in the forward
-    closure of b's safe pairs under the moves whose whole support is safe
-    pairs of assigned sets.
+    `_closed_tables` assigns only knowledge sets reached under the earlier
+    assignments, so a table's product needs no walk from the root, and on a
+    closed table the predicate is exactly "the table loses".  By its
+    invariant, the table without its deepest set b, the dict's last key,
+    was not refuted, so an end component, if any, holds a pair of b and lies
+    in the sets the table reaches from b: the closed core is taken on those
+    alone, with one memo per search.
     """
-    prod: dict = {}  # safe pair id -> moves in the row last placed for its knowledge set
-    rows: dict = {}  # (knowledge-set id, action id) -> {safe pair id: moves}
-    view = MdpView(range(len(masks) * len(n.obs)), n.initial, prod)
-    safe: set = set()  # the safe pairs of the knowledge sets in `levels`
-    levels: list = []  # per assigned knowledge set, in table order, its row
+    memo: dict = {}
 
     def refuted(table: dict) -> bool:
-        key = next(reversed(table.items()))  # (deepest knowledge set, its action)
-        if key not in rows:
-            rows[key] = _product_row(n, masks, post, *key)
-        placed = rows[key]
-        prod.update(placed)
-        while len(levels) >= len(table):  # the parent was the last table checked at its depth
-            safe.difference_update(levels.pop())
-        levels.append(placed)
-        safe.update(placed)
-        closure = reachable(placed, lambda j: [x for d in prod[j] if d <= safe for x in d])
-        return bool(mec_decomposition(view, within=frozenset(closure)))
+        return _closed_core(n, masks, post, table, next(reversed(table)), memo)
 
     return refuted
 
@@ -573,25 +681,25 @@ def _search_belief_table(n: NumberedGame, masks: list, post: dict):
     first closed table the search reaches wins; None when there is none.
     """
     refuted = _table_refuter(n, masks, post)
-    tables = _closed_tables(0, post, range(len(n.g.actions)), refuted)
+    tables = _closed_tables(0, post, range(len(n.actions)), refuted)
     return next(tables, None)  # never resumed, so the live table stays as found
 
 
 def _first_descent(n: NumberedGame, cap: int) -> ObservationStrategy | None:
     """The search's first leaf, checked once: the first closed table of
     `_closed_tables`, action id 0 at every knowledge set it reaches, built
-    breadth-first against `cap` on only those sets.  One end-component decomposition of
-    the safe pairs of its `_product_row`s is the refuter's predicate on a
-    closed table.  A winning table has no refuted prefix, so it is the one
-    the search returns; it comes back as a named strategy, or None.
+    breadth-first against `cap` on only those sets.  Its closed core is the
+    refuter's predicate on a closed table.  A winning table has no refuted
+    prefix, so it is the one the search returns; it comes back as a named
+    strategy, or None.
     """
-    post, prod = _KnowledgeSets(n, cap), {}
-    for b, _ in enumerate(post.masks):  # breadth-first: the row's lookup grows masks
-        prod.update(_product_row(n, post.masks, post, b, 0))
-    view = MdpView(range(len(post.masks) * len(n.obs)), n.initial, prod)
-    if mec_decomposition(view, within=frozenset(prod)):
+    post = _KnowledgeSets(n, cap)
+    for b, _ in enumerate(post.masks):  # breadth-first: the lookup grows masks
+        post[(b, 0)]
+    table = dict.fromkeys(range(len(post.masks)), 0)
+    if _closed_core(n, post.masks, post, table, 0, {}):
         return None
-    return _named_strategy(n, post.masks, dict.fromkeys(range(len(post.masks)), 0), post)
+    return _named_strategy(n, post.masks, table, post)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +715,7 @@ def _full_information_arena(n: NumberedGame) -> Arena:
     |V| + v * |A| + a of the opponent, who picks one of the (v, a) moves, a
     coin node whose successors are that move's support.
     """
-    n_v, n_a = len(n.obs), len(n.g.actions)
+    n_v, n_a = len(n.obs), len(n.actions)
     succ: list = [tuple(range(n_v + v * n_a, n_v + (v + 1) * n_a)) for v in range(n_v)]
     coins: list = []
     nxt = n_v + len(n.moves)
@@ -637,8 +745,8 @@ def _sure_belief_strategy(n: NumberedGame, masks: list, post: dict):
     first staying pair, is the canonically least.  Returns a table
     {knowledge-set id: action id}, or None.
     """
-    n_b, n_a = len(masks), len(n.g.actions)
-    canonical = sorted(range(n_a), key=lambda a: ckey(n.g.actions[a]))
+    n_b, n_a = len(masks), len(n.actions)
+    canonical = sorted(range(n_a), key=lambda a: ckey(n.actions[a]))
     succ = [tuple(n_b + b * n_a + a for a in canonical) for b in range(n_b)]
     succ += [tuple(post[(b, a)].values()) for b in range(n_b) for a in range(n_a)]
     owner = bytes([OWN_ELOISE] * n_b + [OWN_ABELARD] * (n_b * n_a))
@@ -657,6 +765,30 @@ def _sure_belief_strategy(n: NumberedGame, masks: list, post: dict):
 # ---------------------------------------------------------------------------
 
 
+def _solve(n: NumberedGame, belief_cap: int) -> ObservationStrategy | None:
+    """A winning knowledge-set strategy of the numbered game, or None.
+
+    The routes run in turn: the full-information refutation, which needs
+    no knowledge sets; the first descent, the search's first leaf checked
+    once, not a second search; when it loses, the full exploration with the
+    sure-winning short-cut; then the search.  A winning descent builds only
+    the knowledge sets it reaches, so a non-empty game can be decided
+    within a `belief_cap` its full exploration exceeds.
+    """
+    if not n.target or not _wins_full_information(n):
+        return None
+    strat = _first_descent(n, belief_cap)
+    if strat is not None:
+        return strat
+    masks, post = reachable_beliefs(n, belief_cap)
+    table = _sure_belief_strategy(n, masks, post)
+    if table is None:
+        table = _search_belief_table(n, masks, post)
+    if table is None:
+        return None
+    return _named_strategy(n, masks, table, post)
+
+
 def solve_imperfect_buchi(
     g: ImperfectInfoArena, target, *, belief_cap: int = 2**18
 ) -> tuple[bool, ObservationStrategy | None]:
@@ -667,30 +799,10 @@ def solve_imperfect_buchi(
     is one, but the call does not check it: the tests, the crosscheck
     suite and the probes check the strategies it returns, and
     `check_emptiness` checks the witness tree it ships by membership.  The
-    game is numbered once.  The routes run in turn: the full-information
-    refutation, which needs no knowledge sets; the first descent, the
-    search's first leaf checked once, not a second search; when it loses,
-    the full exploration with the sure-winning short-cut; then the search.
-    A winning descent builds only the knowledge sets it reaches, so a
-    non-empty game can be decided within a `belief_cap` its full
-    exploration exceeds.
+    game is numbered once and solved by `_solve`.
     """
-    target = frozenset(target)
-    if not target:
-        return False, None
-    n = number_game(g, target)
-    if not _wins_full_information(n):
-        return False, None
-    strat = _first_descent(n, belief_cap)
-    if strat is not None:
-        return True, strat
-    masks, post = reachable_beliefs(n, belief_cap)
-    table = _sure_belief_strategy(n, masks, post)
-    if table is None:
-        table = _search_belief_table(n, masks, post)
-    if table is None:
-        return False, None
-    return True, _named_strategy(n, masks, table, post)
+    strat = _solve(number_game(g, target), belief_cap)
+    return strat is not None, strat
 
 
 def solve_by_enumeration(
@@ -794,11 +906,10 @@ def check_emptiness(
     """
     final = frozenset(final)
     try:
-        game, target = build_emptiness_game(a, final, action_cap=action_cap)
-        verdict, strat = solve_imperfect_buchi(game, target, belief_cap=belief_cap)
+        strat = _solve(number_emptiness_game(a, final, action_cap), belief_cap)
     except ResourceLimit:
         return EmptinessResult("resource-exceeded")
-    if not verdict:
+    if strat is None:
         return EmptinessResult("empty")
     tree, _ = extract_witness(a, final, strat)
     if not qualitative_membership(a, buchi(final), tree):

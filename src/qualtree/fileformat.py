@@ -66,8 +66,13 @@ KINDS = ("tree", "alternating-tree", "prob-word", "prob-tree", "nonzero")
 ONE_VALUE_LINES = ("alphabet", "states", "initial", "accept", "order", "nzsets")
 
 
+# What a token may not hold: whitespace, exactly as `str.isspace` has it, or
+# the comment sign.
+_TOKEN_BREAK = re.compile(r"[\s#]")
+
+
 def _token(t: str) -> str:
-    if not t or any(c.isspace() for c in t) or "#" in t:
+    if not t or _TOKEN_BREAK.search(t):
         raise FormatError(f"not a writable token: {t!r}")
     return t
 

@@ -23,8 +23,8 @@ read.  Almost-sure reachability is the same fixed point on the arena with
 the target made absorbing.
 
 A positional strategy of the protagonist leaves an MDP to the opponent,
-`fix_strategy`, as an `MdpView` on the same ids: the strategy checks refute
-a strategy on it with end components.  Almost-sure co-Büchi is a nested
+`fix_strategy`, as an `MdpView` on the same ids: the game oracles refute a
+strategy on it with end components.  Almost-sure co-Büchi is a nested
 fixed point on moves per vertex, with no `Arena` (`arena_moves` gives an
 arena's).
 
@@ -148,8 +148,8 @@ class PositionalStrategy:
 # Generic MDP view: controller states numbered once, with a finite set of moves,
 # each move the support of a distribution.  End components and the qualitative
 # verdicts built on them depend only on supports.  The MDP a positional
-# strategy leaves on an `Arena` (strategy checks) and the emptiness search's
-# products use this layer.
+# strategy leaves on an `Arena` (the game oracles) and the product of an
+# observation strategy (`emptiness.check_observation_strategy`) use this layer.
 # ---------------------------------------------------------------------------
 
 
@@ -212,14 +212,6 @@ def mec_decomposition(view: MdpView, within: frozenset | None = None) -> list[fr
     return out
 
 
-def _positive_buchi_view(view: MdpView, target: frozenset) -> bool:
-    """Some reachable end component meets the target.  The reachable part
-    is closed under every move, so its end components are those of the
-    whole MDP that it meets."""
-    reach = frozenset(reachable([view.initial], view.succ))
-    return any(c & target for c in mec_decomposition(view, within=reach))
-
-
 def _positive_cobuchi_view(view: MdpView, target: frozenset) -> bool:
     """Can the controller make "eventually avoid target forever" positive?
 
@@ -229,23 +221,6 @@ def _positive_cobuchi_view(view: MdpView, target: frozenset) -> bool:
     """
     safe = frozenset(range(len(view.states))) - target
     reach = reachable([view.initial], view.succ)
-    return any(c & reach for c in mec_decomposition(view, within=safe))
-
-
-def _positive_avoid_view(view: MdpView, target: frozenset) -> bool:
-    """Positive probability of never visiting the target at all.
-
-    Unlike the co-Buchi case the approach path must itself avoid the
-    target, so reachability is restricted to target-free states.
-    """
-    if view.initial in target:
-        return False
-    safe = frozenset(range(len(view.states))) - target
-
-    def succ_safe(s):
-        return {w for w in view.succ(s) if w in safe}
-
-    reach = reachable([view.initial], succ_safe)
     return any(c & reach for c in mec_decomposition(view, within=safe))
 
 
@@ -405,20 +380,6 @@ def almost_sure_reach(a: Arena, target) -> tuple[frozenset, PositionalStrategy]:
         if a.owner[v] == OWN_ELOISE:
             choice[v] = a.succ[v][0]  # already won; any move is fine
     return region, PositionalStrategy(ELOISE, choice)
-
-
-def check_buchi_strategy(a: Arena, target, s: PositionalStrategy) -> bool:
-    """Exact check that her strategy s visits the target infinitely often
-    almost surely against every opponent behaviour: in the MDP it leaves,
-    the opponent cannot avoid the target from some point on with positive
-    probability."""
-    return not _positive_cobuchi_view(fix_strategy(a, s.choice), frozenset(target))
-
-
-def check_reach_strategy(a: Arena, target, s: PositionalStrategy) -> bool:
-    """The same for reaching the target: the opponent cannot avoid it
-    forever with positive probability."""
-    return not _positive_avoid_view(fix_strategy(a, s.choice), frozenset(target))
 
 
 def eloise_positional_strategies(a: Arena):

@@ -9,8 +9,11 @@ almost-sure Büchi core on sets and dicts, ``_as_buchi_core`` with its
 ``qualtree.games`` that replaced it: both must give the same region and the
 same choices, in the same key order.
 
-The named MDP layer that the solvers on ids replaced is kept as the
-weighted reference of the strategy checks: ``Mdp``, the weighted
+The exact positional-strategy checks on an integer ``Arena``,
+``check_buchi_strategy`` and ``check_reach_strategy``, are here with their
+end-component forms ``_positive_buchi_view`` and ``_positive_avoid_view``:
+only the tests call them.  The named MDP layer that the solvers on ids
+replaced is kept as the weighted reference of those checks: ``Mdp``, the weighted
 ``fix_strategy`` (either player's strategy, as point distributions),
 ``eloise_positional_strategies`` on names, ``view_of_mdp``, ``_ids``,
 ``controller_positive_buchi``, ``controller_positive_cobuchi`` and
@@ -48,10 +51,11 @@ from qualtree.games import (
     MdpView,
     PositionalStrategy,
     StochasticArena,
-    _positive_avoid_view,
-    _positive_buchi_view,
     _positive_cobuchi_view,
+    mec_decomposition,
 )
+from qualtree.games import fix_strategy as fix_arena_strategy
+from qualtree.graphs import reachable
 from qualtree.ordering import csorted
 from qualtree.suite import random_arena
 from qualtree.trees import RegularTree
@@ -293,6 +297,45 @@ def view_of_mdp(m: Mdp) -> MdpView:
         else:
             moves.append(tuple(frozenset((w,)) for w in succ))
     return MdpView(verts, vid[g.initial], moves)
+
+
+def _positive_buchi_view(view: MdpView, target: frozenset) -> bool:
+    """Some reachable end component meets the target.  The reachable part
+    is closed under every move, so its end components are those of the
+    whole MDP that it meets."""
+    reach = frozenset(reachable([view.initial], view.succ))
+    return any(c & target for c in mec_decomposition(view, within=reach))
+
+
+def _positive_avoid_view(view: MdpView, target: frozenset) -> bool:
+    """Positive probability of never visiting the target at all.
+
+    Unlike the co-Buchi case the approach path must itself avoid the
+    target, so reachability is restricted to target-free states.
+    """
+    if view.initial in target:
+        return False
+    safe = frozenset(range(len(view.states))) - target
+
+    def succ_safe(s):
+        return {w for w in view.succ(s) if w in safe}
+
+    reach = reachable([view.initial], succ_safe)
+    return any(c & reach for c in mec_decomposition(view, within=safe))
+
+
+def check_buchi_strategy(a: Arena, target, s: PositionalStrategy) -> bool:
+    """Exact check that her strategy s visits the target infinitely often
+    almost surely against every opponent behaviour: in the MDP it leaves,
+    the opponent cannot avoid the target from some point on with positive
+    probability."""
+    return not _positive_cobuchi_view(fix_arena_strategy(a, s.choice), frozenset(target))
+
+
+def check_reach_strategy(a: Arena, target, s: PositionalStrategy) -> bool:
+    """The same for reaching the target: the opponent cannot avoid it
+    forever with positive probability."""
+    return not _positive_avoid_view(fix_arena_strategy(a, s.choice), frozenset(target))
 
 
 def _ids(view: MdpView, states) -> frozenset:

@@ -12,6 +12,11 @@ judges any partial table, in any order.
 `enumerate_bit_enriched` is the one-bit memory enumeration with its own
 closure and backtracking loop, the oracle of the enumeration on
 `qualtree.suite.with_memory_bit` products.
+
+`named_emptiness_game` builds the emptiness game on names, as it was built
+before the game was numbered straight from the automaton's rows, the
+oracle of `qualtree.emptiness.number_emptiness_game` and of its naming
+`build_emptiness_game`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from __future__ import annotations
 import itertools
 
 from qualtree.emptiness import (
+    DIRECTIONS,
+    EPS_OBS,
+    EmptinessAction,
     ImperfectInfoArena,
+    LocalChoice,
     ObservationStrategy,
     _belief_obs,
     _bits,
@@ -28,7 +37,9 @@ from qualtree.emptiness import (
     check_observation_strategy,
     initial_belief,
 )
+from qualtree.errors import FormatError, ResourceLimit
 from qualtree.games import MdpView, mec_decomposition
+from qualtree.ordering import csorted
 
 
 def closed_tables_by_walk(root, post: dict, actions, refuted=None):
@@ -68,7 +79,7 @@ def whole_product_refuter(n, masks: list, post: dict):
     so pair 0 is the start pair.  Only a table whose assigned knowledge sets
     are all reached under it is judged as its product.
     """
-    n_act, n_v, obs = len(n.g.actions), len(n.obs), n.obs
+    n_act, n_v, obs = len(n.actions), len(n.obs), n.obs
     index: dict = {}  # knowledge-set id * n_v + vertex id -> pair id
     pairs: list = []  # pair id -> (vertex id, knowledge-set id)
     prod: list = []  # pair id -> moves in the row last placed for its knowledge set
@@ -182,3 +193,47 @@ def enumerate_bit_enriched(
         opts = choices(open_m)
         trail.append((open_m, 0, opts))
         assign[open_m] = opts[0]
+
+
+def named_emptiness_game(a, final: frozenset, action_cap: int = 2**18):
+    """The emptiness game and its target on names: vertices (state, last
+    direction) after the root (initial state, "e"), and per (vertex,
+    action) the tuple of supports, each a coin flip between two vertices."""
+    rows: dict = {(q, s): [] for q in a.states for s in a.alphabet}
+    for t in a.transitions:
+        if (t[0], t[1]) in rows:
+            rows[(t[0], t[1])].append(t)
+    for (q, s), ts in rows.items():
+        if not ts:
+            raise FormatError(f"no transition for state {q} on symbol {s}")
+        rows[(q, s)] = csorted(ts)
+
+    e_states = csorted(a.eloise)
+    n_actions = 0
+    for s in a.alphabet:
+        count = 1
+        for q in e_states:
+            count *= len(rows[(q, s)])
+        n_actions += count
+    if n_actions > action_cap:
+        raise ResourceLimit("action set size", action_cap)
+
+    theirs = {(q, s): tuple(((q0, "0"), (q1, "1")) for (_, _, q0, q1) in rows[(q, s)])
+              for q in a.states if q not in a.eloise for s in a.alphabet}
+    actions = []
+    mine: list = []  # per action, {protagonist state: its one move}
+    for s in a.alphabet:
+        for combo in itertools.product(*(rows[(q, s)] for q in e_states)):
+            targets = tuple((q, (t[2], t[3])) for q, t in zip(e_states, combo))
+            actions.append(EmptinessAction(s, LocalChoice(targets)))
+            mine.append({q: (((q0, "0"), (q1, "1")),) for q, (q0, q1) in targets})
+
+    root = (a.initial, EPS_OBS)
+    vertices = [root] + [(q, d) for q in csorted(a.states) for d in DIRECTIONS]
+    trans = {}
+    for v in vertices:
+        for act, own in zip(actions, mine):
+            trans[(v, act)] = own[v[0]] if v[0] in own else theirs[(v[0], act.symbol)]
+    arena = ImperfectInfoArena(vertices=tuple(vertices), initial=root, actions=tuple(actions),
+                               trans=trans, obs={v: v[1] for v in vertices})
+    return arena, frozenset((q, d) for q in final for d in DIRECTIONS)

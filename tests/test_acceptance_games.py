@@ -33,7 +33,6 @@ from qualtree.games import (
     _attractor,
     almost_sure_buchi,
     arena_moves,
-    check_buchi_strategy,
     number,
 )
 from qualtree.markov import prob_tree_membership
@@ -44,6 +43,7 @@ from qualtree.trees import RegularTree, lasso, tree_from_word
 from arena_oracles import (
     _enumerated_cobuchi,
     build_nonzero_arena,
+    check_buchi_strategy,
     named_tree_game_arena,
     state_ids,
 )

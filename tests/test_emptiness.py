@@ -21,6 +21,7 @@ from qualtree.emptiness import (
     EmptinessAction,
     ImperfectInfoArena,
     LocalChoice,
+    NumberedGame,
     ObservationStrategy,
     build_emptiness_game,
     check_emptiness,
@@ -30,9 +31,11 @@ from qualtree.emptiness import (
     initial_belief,
     reachable_beliefs,
     solve_by_enumeration,
+    number_emptiness_game,
     number_game,
     solve_imperfect_buchi,
     _bits,
+    _closed_core,
     _closed_tables,
     _first_descent,
     _full_information_arena,
@@ -60,7 +63,7 @@ from qualtree.suite import (
 )
 from arena_oracles import _as_buchi_core as set_as_buchi_core, named_full_information_arena
 from draws import random_imperfect_arena
-from search_oracles import closed_tables_by_walk, whole_product_refuter
+from search_oracles import closed_tables_by_walk, named_emptiness_game, whole_product_refuter
 
 
 def two_state_automaton():
@@ -277,7 +280,7 @@ def test_membership_check_stops_a_wrong_nonempty_verdict(monkeypatch):
     assert _wins_full_information(n) and _first_descent(n, 2**18) is None
 
     def first_table(n, masks, post):
-        return dict(next(_closed_tables(0, post, range(len(n.g.actions)))))
+        return dict(next(_closed_tables(0, post, range(len(n.actions)))))
 
     monkeypatch.setattr(emptiness_module, "_sure_belief_strategy", lambda n, masks, post: None)
     monkeypatch.setattr(emptiness_module, "_search_belief_table", first_table)
@@ -811,15 +814,15 @@ def test_integer_full_information_arena_matches_the_named_one():
 
 
 def _search_games(seed):
-    """Numbered reference games with at most 400 knowledge sets, and the
-    contradictory automaton."""
+    """Reference games with at most 400 knowledge sets, and the
+    contradictory automaton, each with its numbering and exploration."""
     games = _reference_games(seed)
     games.append(build_emptiness_game(*contradictory_uniformity_automaton()))
     out = []
     for game, target in games:
         n = number_game(game, target)
         try:
-            out.append((n, *reachable_beliefs(n, 400)))
+            out.append((game, n, *reachable_beliefs(n, 400)))
         except ResourceLimit:
             continue
     return out
@@ -828,10 +831,10 @@ def _search_games(seed):
 def test_frontier_tables_match_the_walk_without_a_refuter():
     """On ids, as the search runs, and on named knowledge sets, as the
     enumeration oracle runs."""
-    for n, masks, post in _search_games(107):
-        beliefs, named = _named_beliefs(n.g, 400)
-        for root, table, actions in ((0, post, range(len(n.g.actions))),
-                                     (beliefs[0], named, list(n.g.actions))):
+    for game, n, masks, post in _search_games(107):
+        beliefs, named = _named_beliefs(game, 400)
+        for root, table, actions in ((0, post, range(len(n.actions))),
+                                     (beliefs[0], named, list(game.actions))):
             new = [dict(t) for t in itertools.islice(_closed_tables(root, table, actions), 40)]
             old = [dict(t) for t in itertools.islice(closed_tables_by_walk(root, table, actions), 40)]
             assert new == old and new
@@ -845,7 +848,7 @@ def test_deepest_set_refuter_matches_the_whole_product_search():
     """The same tables visited, the same verdict on each, the same first
     closed table; a search is compared on its first 2,000 visits only."""
     visited = cut = found = 0
-    for n, masks, post in _search_games(109):
+    for _, n, masks, post in _search_games(109):
         runs = []
         for closed, refuter in ((_closed_tables, _table_refuter),
                                 (closed_tables_by_walk, whole_product_refuter)):
@@ -859,7 +862,7 @@ def test_deepest_set_refuter_matches_the_whole_product_search():
                 return verdict
 
             try:
-                first = next(closed(0, post, range(len(n.g.actions)), checked), None)
+                first = next(closed(0, post, range(len(n.actions)), checked), None)
             except _Budget:
                 first = "budget"
             runs.append((seen, dict(first) if isinstance(first, dict) else first))
@@ -932,3 +935,102 @@ def test_first_descent_is_the_searchs_first_leaf():
             lost += 1
             rescued += old[0]
     assert won > 200 and lost > 20 and 0 < rescued < lost
+
+
+# ---------------------------------------------------------------------------
+# The request on ids: the game numbered straight from the automaton's rows,
+# names made once, and the closed core on knowledge-set masks, against the
+# named build, `_materialize` and the end-component decomposition.
+# ---------------------------------------------------------------------------
+
+
+def _automata(seed, count):
+    rng = random.Random(seed)
+    return [random_alternating_buchi(rng, max_states=1 + i % 6, max_symbols=1 + i % 3)
+            for i in range(count)]
+
+
+def test_game_numbered_from_rows_is_the_numbered_named_game():
+    """Field by field, `number_emptiness_game` is `number_game` of the game
+    built on names, and its naming `build_emptiness_game` is that game."""
+    for aut, final in [contradictory_uniformity_automaton(), one_state_acceptor()] + \
+            _automata(131, 200):
+        old, old_target = named_emptiness_game(aut, final)
+        game, target = build_emptiness_game(aut, final)
+        assert target == old_target
+        assert (game.vertices, game.initial, game.actions, game.obs) == \
+            (old.vertices, old.initial, old.actions, old.obs)
+        assert game.trans == old.trans
+        n, numbered = number_emptiness_game(aut, final), number_game(old, old_target)
+        for field in NumberedGame._fields:
+            assert getattr(n, field) == getattr(numbered, field), field
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except ResourceLimit as e:
+        return "cap", e.what, e.bound
+    except FormatError as e:
+        return "format", str(e)
+    return "built"
+
+
+def test_game_numbered_from_rows_raises_as_the_named_build():
+    """The same `ResourceLimit` at an action cap one below the action count,
+    none at the count, and the same `FormatError` for a missing row."""
+    rng = random.Random(137)
+    builds = (number_emptiness_game, build_emptiness_game, named_emptiness_game)
+    capped = missing = 0
+    for aut, final in _automata(139, 80):
+        count = len(named_emptiness_game(aut, final)[0].actions)
+        for cap in (count - 1, count):
+            outcomes = {_outcome(build, aut, final, cap) for build in builds}
+            assert outcomes == ({("cap", "action set size", cap)} if cap < count else {"built"})
+            capped += cap < count
+        q, s = rng.choice(sorted(aut.transitions))[:2]
+        cut = dataclasses.replace(aut, transitions=frozenset(
+            t for t in aut.transitions if t[:2] != (q, s)))
+        outcomes = {_outcome(build, cut, final) for build in builds}
+        assert len(outcomes) == 1 and outcomes.pop()[0] == "format"
+        missing += 1
+    assert capped == missing == 80
+
+
+def test_names_once_strategy_is_the_materialized_named_table():
+    """`_named_strategy` makes the strategy `_materialize` makes of the same
+    table on names, memory order included, for the tables the search and
+    the short-cut find and the first closed tables."""
+    compared = 0
+    for w in [_contradictory_walk()] + _knowledge_games(141, 60):
+        tables = [dict(t) for t in itertools.islice(
+            _closed_tables(0, w.post, range(len(w.n.actions))), 5)]
+        tables += [t for t in (_search_belief_table(w.n, w.masks, w.post),
+                               _sure_belief_strategy(w.n, w.masks, w.post)) if t is not None]
+        for table in tables:
+            fast = _named_strategy(w.n, w.masks, table, w.post)
+            slow = _materialize(w.game, w.assign(table), w.named)
+            assert fast == slow and fast.memory == slow.memory
+            compared += 1
+    assert compared > 300
+
+
+def test_closed_core_is_end_component_existence_on_random_tables():
+    """On random total tables, the closed core from each knowledge set,
+    with one memo shared by every call on a game, is non-empty exactly when
+    the product of the sets reached from it holds a target-free end
+    component."""
+    rng = random.Random(149)
+    found = empty = 0
+    for w in [_contradictory_walk()] + _knowledge_games(151, 60):
+        memo: dict = {}
+        for _ in range(8):
+            table = {b: rng.randrange(len(w.n.actions)) for b in range(len(w.masks))}
+            for b in range(len(w.masks)):
+                reached = _reached(b, table, w.post)[0]
+                part = {c: table[c] for c in reached}
+                expected = whole_product_refuter(w.n, w.masks, w.post)(part)
+                assert _closed_core(w.n, w.masks, w.post, table, b, memo) == expected
+                found += expected
+                empty += not expected
+    assert found > 300 and empty > 300

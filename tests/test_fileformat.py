@@ -1,10 +1,13 @@
 import random
+import sys
 
 import pytest
 
 from qualtree.automata import buchi, cobuchi
 from qualtree.errors import FormatError
 from qualtree.fileformat import (
+    _TOKEN_BREAK,
+    _token,
     digest,
     parse_arena,
     parse_automaton,
@@ -161,6 +164,21 @@ def test_serializer_refuses_comment_like_tokens():
     det, bad = sharps_automaton(AB, "#")
     with pytest.raises(FormatError, match="token"):
         serialize_automaton(det, cobuchi(bad))
+
+
+def test_token_check_is_the_per_character_predicate_on_every_code_point():
+    """`_token` refuses a token exactly when a character of it is
+    whitespace by `str.isspace` or is "#", as the per-character test it
+    replaced did; every code point is compared, alone and inside a token."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    found = [m.start() for m in _TOKEN_BREAK.finditer(text)]
+    assert found == [i for i, c in enumerate(text) if c.isspace() or c == "#"]
+    for i in found:
+        with pytest.raises(FormatError, match="token"):
+            _token("a" + chr(i) + "b")
+    assert _token("a" + text[:9] + "b") == "a" + text[:9] + "b"
+    with pytest.raises(FormatError, match="token"):
+        _token("")
 
 
 def test_digests_are_stable_and_content_based():

@@ -28,13 +28,10 @@ from qualtree.games import (
     PositionalStrategy,
     StochasticArena,
     _as_buchi_core,
-    _positive_buchi_view,
     almost_sure_buchi,
     almost_sure_cobuchi,
     almost_sure_reach,
     arena_moves,
-    check_buchi_strategy,
-    check_reach_strategy,
     eloise_positional_strategies,
     fix_strategy,
     mec_decomposition,
@@ -58,7 +55,10 @@ import arena_oracles
 from arena_oracles import (
     Mdp,
     _enumerated_cobuchi,
+    _positive_buchi_view,
     buchi_to_reachability,
+    check_buchi_strategy,
+    check_reach_strategy,
     controller_positive_avoid,
     controller_positive_buchi,
     controller_positive_cobuchi,
