@@ -26,54 +26,34 @@ import collections
 import random
 import sys
 import time
+from pathlib import Path
 
-from qualtree.automata import BUCHI, COBUCHI, Alphabet, ProbTreeAutomaton
-from qualtree.dist import Distribution
+from qualtree.automata import BUCHI, COBUCHI, Alphabet
 from qualtree.fileformat import parse_automaton, serialize_automaton
 from qualtree.markov import (
-    as_verdict,
     lasso_membership_word,
     prob_tree_membership,
     tree_chain,
     word_chain,
 )
 from qualtree.reductions import lift_diagonal, lift_swap
-from qualtree.suite import (
+from qualtree.trees import RegularTree, tree_from_word
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+
+from draws import (  # noqa: E402
+    fork,
     random_lasso_word,
     random_regular_tree,
     random_simple_pwa,
     random_split_automaton,
+    sticky_split_automaton,
     with_unreachable_nodes,
+    without_a_row,
 )
-from qualtree.trees import RegularTree, tree_from_word
+from weighted_chains import by_chain, decided  # noqa: E402
 
 SIGMA = Alphabet(("a", "b"))
-
-
-def fork(rng, depth, sigma):
-    """The finite binary tree of the given depth, randomly labelled, whose
-    leaves loop on themselves."""
-    nodes, label, succ0, succ1 = [], {}, {}, {}
-
-    def grow(d):
-        v = f"n{len(nodes)}"
-        nodes.append(v)
-        label[v] = rng.choice(sigma.symbols)
-        succ0[v], succ1[v] = (grow(d - 1), grow(d - 1)) if d else (v, v)
-        return v
-
-    grow(depth)
-    return RegularTree(tuple(nodes), nodes[0], label, succ0, succ1)
-
-
-def sticky_split_automaton(rng, n, sigma):
-    """A split automaton with one pair per row, which keeps its state on
-    both children half the time."""
-    states = [f"q{i}" for i in range(n)]
-    delta = {(q, x): Distribution.point((q, q) if rng.random() < 0.5
-                                        else (rng.choice(states), rng.choice(states)))
-             for q in states for x in sigma.symbols}
-    return ProbTreeAutomaton(sigma, frozenset(states), states[0], delta)
 
 
 def cases(rng, max_states, max_nodes):
@@ -97,29 +77,9 @@ def cases(rng, max_states, max_nodes):
         yield prob_tree_membership, tree_chain, c, c_final, x
 
 
-def without_a_row(rng, a):
-    """a with one transition row removed, picked at random."""
-    delta = dict(a.delta)
-    del delta[rng.choice(sorted(delta))]
-    return type(a)(a.alphabet, a.states, a.initial, delta)
-
-
 def read_back(a):
     """a written out as text and parsed again."""
     return parse_automaton(serialize_automaton(a)).automaton
-
-
-def by_chain(build):
-    """Decide by the bottom SCCs of the chain that `build` makes."""
-    return lambda a, final, x, kind: as_verdict(build(a, final, x), kind)
-
-
-def decided(decide, *args):
-    """The verdict, or the message of the missing-row error that stopped it."""
-    try:
-        return decide(*args)
-    except KeyError as e:
-        return str(e)
 
 
 def main() -> int:

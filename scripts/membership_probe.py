@@ -29,6 +29,7 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
 
 from qualtree.acceptance import (
     build_acceptance_game,
@@ -40,9 +41,14 @@ from qualtree.automata import cobuchi
 from qualtree.emptiness import check_emptiness
 from qualtree.errors import DisagreementError
 from qualtree.game_oracles import oracle_almost_sure_cobuchi
-from qualtree.games import _as_buchi_core, almost_sure_cobuchi, arena_moves
+from qualtree.games import almost_sure_cobuchi, arena_moves
 from qualtree.ordering import csorted
-from qualtree.suite import random_alternating_buchi, random_regular_tree
+from qualtree.suite import random_alternating_buchi
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+
+from arena_oracles import arena_region, mask_ids, state_ids  # noqa: E402
+from draws import random_regular_tree  # noqa: E402
 
 COBUCHI_STRATEGIES = 2**8
 ORACLE_WORK = 2**14
@@ -67,28 +73,6 @@ def label_checks(rng, max_states):
         abelard=aut.abelard | checkers), final | {"bad"}
 
 
-def pebble_arena(aut, states, final, t) -> tuple:
-    """The pebble arena and the ids of its state vertices whose state is in
-    `final`: (q, n) is rank(q)·|N| + rank(n)."""
-    arena = build_tree_game_arena(aut, t)
-    width = len(t.nodes)
-    return arena, frozenset(i * width + n for i, q in enumerate(states) if q in final
-                            for n in range(width))
-
-
-def arena_region(aut, states, final, t) -> frozenset:
-    """State-vertex ids of the core's region on the pebble arena."""
-    region, _ = _as_buchi_core(*pebble_arena(aut, states, final, t))
-    return frozenset(v for v in region if v < len(states) * len(t.nodes))
-
-
-def mask_region(aut, states, final, t) -> frozenset:
-    """State-vertex ids of the node masks: bit r of node n is r·|N| + n."""
-    width = len(t.nodes)
-    return frozenset(r * width + n for n, m in enumerate(buchi_node_region(aut, states, final, t))
-                     for r in range(len(states)) if m >> r & 1)
-
-
 def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     count = int(sys.argv[2]) if len(sys.argv) > 2 else 500
@@ -107,11 +91,11 @@ def main() -> int:
         t = random_regular_tree(rng, max_nodes, aut.alphabet)
         states = csorted(aut.states)
         want = arena_region(aut, states, final, t)
-        if mask_region(aut, states, final, t) != want:
+        if mask_ids(buchi_node_region(aut, states, final, t), len(t.nodes)) != want:
             print(f"draw {i}: node masks and the arena core give different regions")
             bad += 1
         partial += 0 < len(want) < len(states) * len(t.nodes)
-        arena, goal = pebble_arena(aut, states, final, t)
+        arena, goal = build_tree_game_arena(aut, t), state_ids(states, final, t)
         strategies = math.prod(len(arena.succ[v]) for v in arena.eloise)
         if strategies <= COBUCHI_STRATEGIES:
             tied += 1

@@ -17,6 +17,7 @@ import random
 import signal
 import sys
 import time
+from pathlib import Path
 
 from qualtree.emptiness import (
     build_emptiness_game,
@@ -24,7 +25,11 @@ from qualtree.emptiness import (
     solve_imperfect_buchi,
 )
 from qualtree.errors import ResourceLimit
-from qualtree.suite import random_alternating_buchi, with_memory_bit
+from qualtree.suite import random_alternating_buchi
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+
+from search_oracles import with_memory_bit  # noqa: E402
 
 LIMIT_S = 10.0
 

@@ -27,6 +27,7 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from qualtree.automata import Alphabet, buchi, cobuchi
 from qualtree.cli import main as qualtree
@@ -37,8 +38,11 @@ from qualtree.fileformat import (
     serialize_word,
 )
 from qualtree.reductions import lift_diagonal, lift_swap
-from qualtree.suite import (
-    random_alternating_buchi,
+from qualtree.suite import random_alternating_buchi
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+
+from draws import (  # noqa: E402
     random_arena,
     random_lasso_word,
     random_regular_tree,

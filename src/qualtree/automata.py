@@ -79,8 +79,14 @@ class TreeAutomaton:
         return csorted(t for t in self.transitions if t[0] == q and t[1] == a)
 
     def is_actually_complete(self) -> bool:
-        pairs = {(t[0], t[1]) for t in self.transitions}
-        return all((q, a) in pairs for q in self.states for a in self.alphabet)
+        return not missing_rows(self.states, self.alphabet, self.transitions)
+
+
+def missing_rows(states, alphabet, transitions) -> list[tuple[str, str]]:
+    """The (state, symbol) pairs that start no transition row, in the order
+    of `states` and `alphabet`."""
+    pairs = {(t[0], t[1]) for t in transitions}
+    return [(q, a) for q in states for a in alphabet if (q, a) not in pairs]
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,14 @@ class AlternatingTreeAutomaton(TreeAutomaton):
 
 
 @dataclass(frozen=True)
-class ProbWordAutomaton:
+class _ProbAutomaton:
+    """The fields and row lookup of the two probabilistic automata; each
+    stays its own type, so equality and ``isinstance`` tell them apart."""
+
     alphabet: Alphabet
     states: frozenset[str]
     initial: str
-    delta: dict  # (state, symbol) -> Distribution over states
+    delta: dict  # (state, symbol) -> Distribution
 
     def dist(self, q: str, a: str) -> Distribution:
         try:
@@ -104,17 +113,13 @@ class ProbWordAutomaton:
 
 
 @dataclass(frozen=True)
-class ProbTreeAutomaton:
-    alphabet: Alphabet
-    states: frozenset[str]
-    initial: str
-    delta: dict  # (state, symbol) -> Distribution over state pairs
+class ProbWordAutomaton(_ProbAutomaton):
+    """``delta`` maps (state, symbol) to a Distribution over states."""
 
-    def dist(self, q: str, a: str) -> Distribution:
-        try:
-            return self.delta[(q, a)]
-        except KeyError:
-            raise KeyError(f"no transition row for ({q!r}, {a!r})") from None
+
+@dataclass(frozen=True)
+class ProbTreeAutomaton(_ProbAutomaton):
+    """``delta`` maps (state, symbol) to a Distribution over state pairs."""
 
 
 @dataclass(frozen=True)
@@ -210,12 +215,9 @@ def validate(obj) -> list[str]:
             q, a, q0, q1 = t
             if not (q in obj.states and q0 in obj.states and q1 in obj.states and a in obj.alphabet):
                 report.append(f"ill-typed transition {t}")
-        if obj.complete and not obj.is_actually_complete():
-            pairs = {(t[0], t[1]) for t in obj.transitions}
-            for q in csorted(obj.states):
-                for a in obj.alphabet:
-                    if (q, a) not in pairs:
-                        report.append(f"declared complete but no transition for {q},{a}")
+        if obj.complete:
+            for q, a in missing_rows(csorted(obj.states), obj.alphabet, obj.transitions):
+                report.append(f"declared complete but no transition for {q},{a}")
         return report
     raise TypeError(f"cannot validate {type(obj).__name__}")
 

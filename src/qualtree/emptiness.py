@@ -885,10 +885,6 @@ class EmptinessResult:
     witness: RegularTree | None = None
     strategy: ObservationStrategy | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
 
 def check_emptiness(
     a: AlternatingTreeAutomaton,

@@ -54,6 +54,7 @@ from qualtree.automata import (
     ProbTreeAutomaton,
     ProbWordAutomaton,
     TreeAutomaton,
+    missing_rows,
 )
 from qualtree.dist import Distribution
 from qualtree.errors import FormatError
@@ -211,12 +212,12 @@ def parse_automaton(text: str) -> LoadedAutomaton:
     if kind == "tree":
         aut: object = TreeAutomaton(
             alphabet, sset, initial, frozenset(trans),
-            complete=_transitions_complete(sset, alphabet, trans),
+            complete=not missing_rows(sset, alphabet, trans),
         )
     elif kind == "alternating-tree":
         aut = AlternatingTreeAutomaton(
             alphabet, sset, initial, frozenset(trans),
-            complete=_transitions_complete(sset, alphabet, trans),
+            complete=not missing_rows(sset, alphabet, trans),
             eloise=frozenset(eloise), abelard=frozenset(abelard),
         )
     elif kind == "prob-word":
@@ -233,11 +234,6 @@ def parse_automaton(text: str) -> LoadedAutomaton:
             f_forall=nzsets[0], f_one=nzsets[1], f_pos=nzsets[2],
         )
     return LoadedAutomaton(kind, aut, accept)
-
-
-def _transitions_complete(states, alphabet, trans) -> bool:
-    pairs = {(t[0], t[1]) for t in trans}
-    return all((q, a) in pairs for q in states for a in alphabet)
 
 
 def kind_of(aut) -> str:

@@ -20,9 +20,12 @@ replaced is kept as the weighted reference of those checks: ``Mdp``, the weighte
 ``controller_positive_avoid``, the named ``_absorb`` and ``with_initial``,
 and ``random_mdp_arena``, the random controller arenas of their tests.
 ``_enumerated_cobuchi`` is the co-Büchi enumeration on that layer, kept as
-the oracle of ``games.almost_sure_cobuchi``, and ``state_ids`` numbers a
+the oracle of ``games.almost_sure_cobuchi``.  ``state_ids`` numbers a
 state set on the pebble arena of ``acceptance.build_tree_game_arena``, on
-which co-Büchi membership was decided before it moved to the node game.
+which membership was decided before it moved to the node game:
+``arena_region`` is the core's region there, and ``mask_ids`` numbers the
+node masks of ``acceptance.buchi_node_region`` the same way, so that the
+tests and ``scripts/membership_probe.py`` tie the two.
 ``named_tree_game_arena`` builds the pebble arena, local rows included,
 through the checking constructor of ``StochasticArena``: it is the oracle
 of ``acceptance.build_acceptance_game``, and ``build_nonzero_arena`` uses
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from qualtree.acceptance import random_vertex, state_vertex
+from qualtree.acceptance import build_tree_game_arena, random_vertex, state_vertex
 from qualtree.automata import NonZeroAutomaton
 from qualtree.dist import Distribution
 from qualtree.errors import ResourceLimit
@@ -54,11 +57,12 @@ from qualtree.games import (
     _positive_cobuchi_view,
     mec_decomposition,
 )
+from qualtree.games import _as_buchi_core as flat_buchi_core
 from qualtree.games import fix_strategy as fix_arena_strategy
 from qualtree.graphs import reachable
 from qualtree.ordering import csorted
-from qualtree.suite import random_arena
 from qualtree.trees import RegularTree
+from draws import random_arena
 
 
 def named_full_information_arena(g, target: frozenset):
@@ -384,6 +388,19 @@ def state_ids(states: Sequence[str], subset, tree) -> frozenset:
     width = len(tree.nodes)
     return frozenset(i * width + j for i, q in enumerate(states) if q in subset
                      for j in range(width))
+
+
+def mask_ids(masks, width) -> frozenset:
+    """State-vertex ids of a node-mask region: bit r of node n is r·width + n."""
+    return frozenset(r * width + n for n, m in enumerate(masks)
+                     for r in range(m.bit_length()) if m >> r & 1)
+
+
+def arena_region(aut, states, final, t) -> frozenset:
+    """State-vertex ids of the region that the core of ``qualtree.games``
+    finds on the pebble arena."""
+    region, _ = flat_buchi_core(build_tree_game_arena(aut, t), state_ids(states, final, t))
+    return frozenset(v for v in region if v < len(states) * len(t.nodes))
 
 
 def _absorb(g: StochasticArena, target: frozenset) -> StochasticArena:

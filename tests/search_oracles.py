@@ -1,5 +1,6 @@
 """Replaced emptiness searches, kept only as oracles of the code that
-replaced them.
+replaced them, and the one-bit memory product that probes knowledge-set
+memory.
 
 `closed_tables_by_walk` and `whole_product_refuter` are the search as it
 was before it kept its frontier on the trail, the oracle of
@@ -9,9 +10,10 @@ re-walking the closure from the root, and `whole_product_refuter` seeks end
 components among the safe pairs of every assigned knowledge set, so it
 judges any partial table, in any order.
 
-`enumerate_bit_enriched` is the one-bit memory enumeration with its own
-closure and backtracking loop, the oracle of the enumeration on
-`qualtree.suite.with_memory_bit` products.
+`with_memory_bit` builds one bit of strategy memory into an arena, for
+the tests and `scripts/memory_probe.py`.  `enumerate_bit_enriched` is the
+one-bit memory enumeration with its own closure and backtracking loop,
+the oracle of the enumeration on `with_memory_bit` products.
 
 `named_emptiness_game` builds the emptiness game on names, as it was built
 before the game was numbered straight from the automaton's rows, the
@@ -121,6 +123,37 @@ def whole_product_refuter(n, masks: list, post: dict):
         return bool(mec_decomposition(MdpView(pairs, 0, prod), within=within))
 
     return refuted
+
+
+def with_memory_bit(g: ImperfectInfoArena, target) -> tuple[ImperfectInfoArena, frozenset]:
+    """`g` with one extra bit of memory built into the arena.
+
+    Vertex (v, bit) is observed as (obs(v), bit).  Action (a, f) plays a,
+    and f gives the next bit for each observation that occurs as a
+    successor, so (v, bit) moves to (w, f(obs w)).  A knowledge set of this
+    game is a knowledge set of `g` paired with one bit, so its knowledge-set
+    strategies are the strategies of `g` with (knowledge set, bit) memory.
+    """
+    entered = csorted({g.obs[w] for supports in g.trans.values() for support in supports
+                       for w in support})
+    updates = [tuple(zip(entered, bits))
+               for bits in itertools.product((0, 1), repeat=len(entered))]
+    vertices = tuple((v, bit) for v in g.vertices for bit in (0, 1))
+    actions = tuple((a, f) for a in g.actions for f in updates)
+    trans = {}
+    for a, f in actions:
+        nxt = dict(f)
+        for v in g.vertices:
+            trans[((v, 0), (a, f))] = trans[((v, 1), (a, f))] = tuple(
+                tuple((w, nxt[g.obs[w]]) for w in support) for support in g.trans[(v, a)])
+    arena = ImperfectInfoArena(
+        vertices=vertices,
+        initial=(g.initial, 0),
+        actions=actions,
+        trans=trans,
+        obs={(v, bit): (g.obs[v], bit) for v, bit in vertices},
+    )
+    return arena, frozenset((v, bit) for v in target for bit in (0, 1))
 
 
 def enumerate_bit_enriched(

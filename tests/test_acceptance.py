@@ -31,18 +31,18 @@ from qualtree.reductions import (
     universalize,
     value1_to_cobuchi,
 )
-from qualtree.suite import (
-    emptiness_crosscheck,
+from qualtree.suite import emptiness_crosscheck
+from qualtree.trees import lasso, tree_from_word
+from arena_oracles import buchi_to_reachability, build_nonzero_arena
+from branches import sampled_branch_lasso
+from draws import (
     random_arena,
     random_lasso_word,
     random_regular_tree,
     random_simple_pwa,
     random_target,
+    random_tree_automaton,
 )
-from qualtree.trees import lasso, tree_from_word
-from arena_oracles import buchi_to_reachability, build_nonzero_arena
-from branches import sampled_branch_lasso
-from draws import random_tree_automaton
 from weighted_chains import weighted_tree_chain
 
 AB = Alphabet(("a", "b"))

@@ -29,7 +29,6 @@ from qualtree.games import (
     OWN_ELOISE,
     OWN_RANDOM,
     PositionalStrategy,
-    _as_buchi_core,
     _attractor,
     almost_sure_buchi,
     arena_moves,
@@ -38,16 +37,18 @@ from qualtree.games import (
 from qualtree.markov import prob_tree_membership
 from qualtree.ordering import csorted
 from qualtree.reductions import lift_swap, universalize
-from qualtree.suite import random_alternating_buchi, random_regular_tree, random_simple_pwa
+from qualtree.suite import random_alternating_buchi
 from qualtree.trees import RegularTree, lasso, tree_from_word
 from arena_oracles import (
     _enumerated_cobuchi,
+    arena_region,
     build_nonzero_arena,
     check_buchi_strategy,
+    mask_ids,
     named_tree_game_arena,
     state_ids,
 )
-from draws import layered_buchi, mirrored
+from draws import layered_buchi, mirrored, random_regular_tree, random_simple_pwa
 
 A_ONLY = Alphabet(("a",))
 
@@ -278,21 +279,13 @@ def test_two_sided_split_membership_implies_probabilistic_membership():
 # ---------------------------------------------------------------------------
 
 
-def _mask_ids(masks, width) -> frozenset:
-    """State-vertex ids of a node-mask region: bit r of node n is r·width + n."""
-    return frozenset(r * width + n for n, m in enumerate(masks)
-                     for r in range(m.bit_length()) if m >> r & 1)
-
-
 def _tie_node_region_to_the_core(aut, final, t) -> bool:
     """The node masks hold exactly the state vertices of the core's region
     on the pebble arena; returns whether that region is partial."""
     states = csorted(aut.states)
-    width = len(t.nodes)
-    region, _ = _as_buchi_core(build_tree_game_arena(aut, t), state_ids(states, final, t))
-    on_states = frozenset(v for v in region if v < len(states) * width)
-    assert _mask_ids(buchi_node_region(aut, states, final, t), width) == on_states
-    return 0 < len(on_states) < len(states) * width
+    on_states = arena_region(aut, states, final, t)
+    assert mask_ids(buchi_node_region(aut, states, final, t), len(t.nodes)) == on_states
+    return 0 < len(on_states) < len(states) * len(t.nodes)
 
 
 def test_node_region_is_the_arena_cores_region(monkeypatch):
@@ -357,7 +350,7 @@ def test_node_attractor_is_the_arena_attractor():
             attracts = bytes(o in (code, OWN_RANDOM) for o in arena.owner)
             step = _attractor(pred, bytearray(inside), ids, attracts, left.copy())
             joined = nodegraph.attractor(_node_game(aut, states, t), region, base, mine)
-            assert _mask_ids(joined, width) == {v for v in range(k * width) if step[v] >= 0}
+            assert mask_ids(joined, width) == {v for v in range(k * width) if step[v] >= 0}
     assert vacuous > 100
 
 
@@ -408,9 +401,8 @@ def test_buchi_route_raises_the_builders_errors():
             assert _raised(lambda: qualitative_membership(bad, buchi(final), t)) == expected
             assert _raised(lambda: qualitative_membership(bad, cobuchi(final), t)) == expected
         else:
-            region, _ = _as_buchi_core(build_tree_game_arena(bad, t), state_ids(states, final, t))
-            assert _mask_ids(buchi_node_region(bad, states, final, t), len(t.nodes)) == {
-                v for v in region if v < len(states) * len(t.nodes)}
+            assert mask_ids(buchi_node_region(bad, states, final, t), len(t.nodes)) == (
+                arena_region(bad, states, final, t))
 
         # Rows from an undeclared state are ignored; rows to one, or an
         # undeclared initial state, are rejected.

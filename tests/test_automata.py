@@ -23,7 +23,8 @@ from qualtree.games import number
 from qualtree.markov import as_verdict
 from qualtree.ordering import csorted
 from qualtree.reductions import sharp_gadget, sharps_automaton
-from qualtree.suite import random_regular_tree, random_simple_pwa, random_alternating_buchi
+from qualtree.suite import random_alternating_buchi
+from draws import random_regular_tree, random_simple_pwa
 from weighted_chains import explore
 
 AB = Alphabet(("a", "b"))

@@ -22,9 +22,9 @@ from qualtree.gallery import (
 )
 from qualtree.reductions import sharps_automaton
 from qualtree.automata import Alphabet
-from qualtree.suite import random_arena, random_target
 from qualtree.trees import lasso
 import random
+from draws import random_arena, random_target
 
 
 def run_cli(*argv):

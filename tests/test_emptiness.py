@@ -56,14 +56,15 @@ from qualtree.gallery import (
     contradictory_uniformity_automaton,
     one_state_acceptor,
 )
-from qualtree.suite import (
-    random_alternating_buchi,
-    random_regular_tree,
+from qualtree.suite import random_alternating_buchi
+from arena_oracles import _as_buchi_core as set_as_buchi_core, named_full_information_arena
+from draws import random_imperfect_arena, random_regular_tree
+from search_oracles import (
+    closed_tables_by_walk,
+    named_emptiness_game,
+    whole_product_refuter,
     with_memory_bit,
 )
-from arena_oracles import _as_buchi_core as set_as_buchi_core, named_full_information_arena
-from draws import random_imperfect_arena
-from search_oracles import closed_tables_by_walk, named_emptiness_game, whole_product_refuter
 
 
 def two_state_automaton():

@@ -21,14 +21,9 @@ from qualtree.fileformat import (
 )
 from qualtree.gallery import contradictory_uniformity_automaton
 from qualtree.reductions import sharps_automaton, lift_swap, to_nonzero, universalize
-from qualtree.suite import (
-    random_arena,
-    random_regular_tree,
-    random_simple_pwa,
-    random_target,
-)
 from qualtree.automata import Alphabet
 from qualtree.trees import lasso
+from draws import random_arena, random_regular_tree, random_simple_pwa, random_target
 
 
 AB = Alphabet(("a", "b"))

@@ -45,12 +45,7 @@ from qualtree.game_oracles import (
 from qualtree.graphs import reachable, sccs
 from qualtree.markov import as_verdict
 from qualtree.ordering import ckey, csorted
-from qualtree.suite import (
-    random_alternating_buchi,
-    random_arena,
-    random_regular_tree,
-    random_target,
-)
+from qualtree.suite import random_alternating_buchi
 import arena_oracles
 from arena_oracles import (
     Mdp,
@@ -68,7 +63,14 @@ from arena_oracles import (
     view_of_mdp,
     with_initial,
 )
-from draws import layered_buchi, mirrored, random_imperfect_arena
+from draws import (
+    layered_buchi,
+    mirrored,
+    random_arena,
+    random_imperfect_arena,
+    random_regular_tree,
+    random_target,
+)
 from weighted_chains import as_markov_chain, named_bottoms, support_chain
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qualtree import nodegraph
-from qualtree.automata import BUCHI, COBUCHI, Alphabet, ProbTreeAutomaton
+from qualtree.automata import BUCHI, COBUCHI, Alphabet
 from qualtree.dist import Distribution
 from qualtree.markov import (
     acceptance_probability,
@@ -19,16 +19,21 @@ from qualtree.markov import (
     word_chain,
 )
 from qualtree.reductions import lift_diagonal, lift_swap, sharps_automaton
-from qualtree.suite import (
+from qualtree.trees import RegularTree, lasso, tree_from_word
+from draws import (
+    fork,
     random_lasso_word,
     random_regular_tree,
     random_simple_pwa,
     random_split_automaton,
+    sticky_split_automaton,
     with_unreachable_nodes,
+    without_a_row,
 )
-from qualtree.trees import RegularTree, lasso, tree_from_word
 from weighted_chains import (
     MarkovChain,
+    by_chain,
+    decided,
     full_tree_chain,
     full_word_chain,
     marked_bottom_probability,
@@ -322,55 +327,6 @@ def test_chain_builders_match_full_product_oracle():
             assert as_verdict(fast, "cobuchi") == (not any(c & full.marked for c in bottoms))
 
 
-def _built(build, *args):
-    """The chain or verdict, or the message of the missing-row error that
-    stopped it."""
-    try:
-        return build(*args)
-    except KeyError as e:
-        return str(e)
-
-
-def _without_a_row(rng, a):
-    """a with one transition row removed, picked at random."""
-    delta = dict(a.delta)
-    del delta[rng.choice(sorted(delta))]
-    return type(a)(a.alphabet, a.states, a.initial, delta)
-
-
-def _reference(build):
-    """The verdict from the bottom SCCs of the chain that `build` makes."""
-    return lambda a, final, x, kind: as_verdict(build(a, final, x), kind)
-
-
-def _fork(rng, depth, sigma):
-    """The finite binary tree of the given depth, randomly labelled, whose
-    leaves loop on themselves."""
-    nodes, label, succ0, succ1 = [], {}, {}, {}
-
-    def grow(d):
-        v = f"n{len(nodes)}"
-        nodes.append(v)
-        label[v] = rng.choice(sigma.symbols)
-        succ0[v], succ1[v] = (grow(d - 1), grow(d - 1)) if d else (v, v)
-        return v
-
-    grow(depth)
-    return RegularTree(tuple(nodes), nodes[0], label, succ0, succ1)
-
-
-def _sticky_split_automaton(rng, n, sigma):
-    """A split automaton with one pair per row, which keeps its state on
-    both children half the time.  Runs that part at a node and then stay
-    apart make verdicts depend on which child is which; the random split
-    automata almost never do."""
-    states = [f"q{i}" for i in range(n)]
-    delta = {(q, x): Distribution.point((q, q) if rng.random() < 0.5
-                                        else (rng.choice(states), rng.choice(states)))
-             for q in states for x in sigma.symbols}
-    return ProbTreeAutomaton(sigma, frozenset(states), states[0], delta)
-
-
 def test_mask_verdicts_equal_reference_chain_verdicts():
     """`lasso_membership_word` and `prob_tree_membership` decide on state
     masks, with no chain built.  Their verdicts must be those of the
@@ -400,9 +356,9 @@ def test_mask_verdicts_equal_reference_chain_verdicts():
             cases.append((prob_tree_membership, tree_chain, b, b_final, x))
     mirrored = 0
     for _ in range(400):
-        c = _sticky_split_automaton(rng, 4, sigma)
+        c = sticky_split_automaton(rng, 4, sigma)
         c_final = frozenset(q for q in sorted(c.states) if rng.random() < 0.5)
-        t = with_unreachable_nodes(rng, _fork(rng, rng.randint(1, 2), sigma), sigma, 2)
+        t = with_unreachable_nodes(rng, fork(rng, rng.randint(1, 2), sigma), sigma, 2)
         mirror = RegularTree(t.nodes, t.root, t.label, t.succ1, t.succ0)
         for x in (t, mirror):
             cases.append((prob_tree_membership, tree_chain, c, c_final, x))
@@ -410,12 +366,12 @@ def test_mask_verdicts_equal_reference_chain_verdicts():
                         != as_verdict(tree_chain(c, c_final, mirror), kind)
                         for kind in (BUCHI, COBUCHI))
     for decide, build, aut, marked, x in cases:
-        broken = _without_a_row(rng, aut)
+        broken = without_a_row(rng, aut)
         for kind in (BUCHI, COBUCHI):
             verdict = decide(aut, marked, x, kind)
             assert verdict == as_verdict(build(aut, marked, x), kind)
-            got = _built(decide, broken, marked, x, kind)
-            assert got == _built(_reference(build), broken, marked, x, kind)
+            got = decided(decide, broken, marked, x, kind)
+            assert got == decided(by_chain(build), broken, marked, x, kind)
             seen[kind, verdict] += 1
             stopped[isinstance(got, str)] += 1
     assert mirrored >= 10

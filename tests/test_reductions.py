@@ -22,9 +22,9 @@ from qualtree.reductions import (
     universalize,
     value1_to_cobuchi,
 )
-from qualtree.suite import random_regular_tree, random_simple_pwa
 from qualtree.trees import lasso
 from arena_oracles import build_nonzero_arena
+from draws import random_regular_tree, random_simple_pwa
 
 AB = Alphabet(("a", "b"))
 SEP = "s"

@@ -1,8 +1,15 @@
-"""Cross-cutting checks: suite plumbing, memory-enrichment scan and the
-sampled converse of the word-to-tree transfer."""
+"""Cross-cutting checks: suite plumbing, the package's boundary with the
+test helpers, memory-enrichment scan and the sampled converse of the
+word-to-tree transfer."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import qualtree
 from qualtree.acceptance import qualitative_membership
 from qualtree.automata import (
     Alphabet,
@@ -17,19 +24,20 @@ from qualtree.emptiness import (
 )
 from qualtree.markov import lasso_membership_word, prob_tree_membership
 from qualtree.reductions import lift_swap, universalize
-from qualtree.suite import (
-    emptiness_crosscheck,
-    random_alternating_buchi,
-    random_regular_tree,
-    random_simple_pwa,
-    with_memory_bit,
-)
+from qualtree.suite import emptiness_crosscheck, random_alternating_buchi
 from qualtree.trees import lasso
 from branches import branch_word
-from draws import random_imperfect_arena, random_tree_automaton
-from search_oracles import enumerate_bit_enriched
+from draws import (
+    random_imperfect_arena,
+    random_regular_tree,
+    random_simple_pwa,
+    random_tree_automaton,
+)
+from search_oracles import enumerate_bit_enriched, with_memory_bit
 
 AB = Alphabet(("a", "b"))
+SRC = Path(qualtree.__file__).resolve().parents[1]
+TEST_HELPERS = {"arena_oracles", "branches", "draws", "search_oracles", "weighted_chains"}
 
 
 def test_bit_enrichment_never_flips_on_micro_instances():
@@ -152,3 +160,23 @@ def test_accepted_trees_transfer_back_to_words_sampled():
             passed += lasso_membership_word(a, final, w, "cobuchi")
     assert accepted_trees == 25
     assert passed / checked >= 0.97, f"branch acceptance frequency {passed/checked:.4f}"
+
+
+def test_package_modules_import_with_only_src_on_the_path(tmp_path):
+    """Every `qualtree` module imports in a fresh interpreter that runs
+    outside the repository with only `src/` on its path."""
+    names = [f"qualtree.{p.stem}" for p in (SRC / "qualtree").glob("*.py") if p.stem != "__init__"]
+    check = f"import importlib, qualtree\nfor m in {names!r}: importlib.import_module(m)\n"
+    done = subprocess.run([sys.executable, "-c", check + "print(qualtree.__file__)"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()).parent == SRC / "qualtree"
+
+
+def test_package_modules_import_no_test_helper():
+    """No module of `src/qualtree` imports a test helper module."""
+    for path in (SRC / "qualtree").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module] if isinstance(node, ast.ImportFrom) and not node.level else [])
+            assert not {n.split(".")[0] for n in names} & TEST_HELPERS, f"{path.name}:{node.lineno}"

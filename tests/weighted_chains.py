@@ -5,7 +5,9 @@ state masks, and keeps its support chains, explored on (state, place)
 tuples, only as the reference that the tests tie those verdicts to.  The
 tests keep the weighted chains that it no longer builds: the full products
 are oracles for the explored support chains, their weights are checked to
-stay exact, and simulations sample runs from them.
+stay exact, and simulations sample runs from them.  ``by_chain`` and
+``decided`` tie the mask verdicts to the reference chains, for the tests
+and ``scripts/chain_probe.py`` alike.
 """
 
 from __future__ import annotations
@@ -15,8 +17,22 @@ from fractions import Fraction
 
 from qualtree.dist import Distribution
 from qualtree.graphs import reachable
-from qualtree.markov import Chain, bsccs, explore
+from qualtree.markov import Chain, as_verdict, bsccs, explore
 from qualtree.ordering import csorted
+
+
+def by_chain(build):
+    """The verdict from the bottom SCCs of the chain that `build` makes."""
+    return lambda a, final, x, kind: as_verdict(build(a, final, x), kind)
+
+
+def decided(decide, *args):
+    """The result of `decide`, or the message of the missing-row error that
+    stopped it."""
+    try:
+        return decide(*args)
+    except KeyError as e:
+        return str(e)
 
 
 @dataclass(frozen=True)
